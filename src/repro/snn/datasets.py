@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from repro.utils.rng import default_rng
 
@@ -64,6 +63,8 @@ def synthetic_image(
     spec: DatasetSpec, rng: np.random.Generator | None = None
 ) -> np.ndarray:
     """One smooth ``(C, H, W)`` image in [0, 1] with blob structure."""
+    from scipy import ndimage  # lazy: a third of `import repro`
+
     rng = rng if rng is not None else default_rng()
     noise = rng.random((spec.channels, spec.size, spec.size))
     smooth = ndimage.gaussian_filter(noise, sigma=(0, 2.5, 2.5))
@@ -89,6 +90,8 @@ def synthetic_audio(
     correlation that seeds PM/EM matches in speech SNNs, just as blob
     structure does for images.
     """
+    from scipy import ndimage  # lazy: a third of `import repro`
+
     rng = rng if rng is not None else default_rng()
     bands, frames = spec.channels, spec.size
     noise = rng.random((bands, frames))

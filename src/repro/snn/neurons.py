@@ -57,13 +57,15 @@ class LIFNeuron:
         currents = np.asarray(currents, dtype=np.float64)
         if currents.ndim < 1:
             raise ValueError("currents must have a leading time axis")
-        spikes = np.zeros(currents.shape, dtype=bool)
+        spikes = np.empty(currents.shape, dtype=bool)
         v = np.zeros(currents.shape[1:], dtype=np.float64)
-        for t in range(currents.shape[0]):
-            v = v * self.decay + currents[t]
-            fired = v >= self.v_threshold
+        fired = np.empty(v.shape, dtype=bool)
+        for t, step in enumerate(currents):
+            v *= self.decay
+            v += step
+            np.greater_equal(v, self.v_threshold, out=fired)
             spikes[t] = fired
-            v = np.where(fired, self.v_reset, v)
+            np.copyto(v, self.v_reset, where=fired)
         return spikes
 
     def membrane_trace(self, currents: np.ndarray) -> np.ndarray:
@@ -137,6 +139,58 @@ def firing_rate(spikes: np.ndarray) -> float:
     return float(spikes.mean()) if spikes.size else 0.0
 
 
+#: Bisection iterations of :func:`calibrate_threshold_channels` whose
+#: simulation also finds the elements it may freeze.
+FREEZE_ITERATIONS = (6, 10, 14)
+
+
+def _lif_counts(
+    currents: np.ndarray,
+    decay: float,
+    threshold: float | np.ndarray,
+    v_reset: float,
+    band: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-element spike counts of :meth:`LIFNeuron.forward` on ``currents``.
+
+    The same membrane arithmetic as ``forward`` without the ``(T, ...)``
+    spike train. With ``band=(low, high)`` it also returns which elements
+    had some pre-reset membrane value inside the closed ``[low, high]``.
+
+    The hard reset multiplies ``v`` by ``not fired`` and then adds
+    ``v_reset`` where it fired; a masked write is several times slower.
+    Both give the same spikes while every value that fires is finite,
+    because ``v * 0.0`` is then a zero, and a zero's sign changes no
+    comparison. In calibration ``|v|`` stays below
+    ``|v_reset| + T * max|I|``. Where ``T * max|I|`` overflows, the
+    bracket starts at ``inf`` and the threshold stays ``inf`` whatever
+    the counts.
+    """
+    v = np.zeros(currents.shape[1:], dtype=np.float64)
+    fired = np.empty(v.shape, dtype=bool)
+    keep = np.empty(v.shape, dtype=bool)
+    counts = np.zeros(v.shape, dtype=np.min_scalar_type(currents.shape[0]))
+    live = None
+    if band is not None:
+        low, high = band
+        live = np.zeros(v.shape, dtype=bool)
+    for step in currents:
+        v *= decay
+        v += step
+        if band is not None:
+            np.greater_equal(v, low, out=fired)
+            np.less_equal(v, high, out=keep)
+            keep &= fired
+            live |= keep
+        np.greater_equal(v, threshold, out=fired)
+        counts += fired
+        np.logical_not(fired, out=keep)
+        v *= keep
+        if v_reset:
+            v += fired * v_reset
+    return counts, live
+
+
 def calibrate_threshold(
     neuron: LIFNeuron,
     currents: np.ndarray,
@@ -163,8 +217,8 @@ def calibrate_threshold(
         mid = 0.5 * (low + high)
         if mid <= 0.0:
             break
-        neuron.v_threshold = mid
-        rate = firing_rate(neuron.forward(currents))
+        counts, _ = _lif_counts(currents, neuron.decay, mid, neuron.v_reset)
+        rate = float(counts.sum()) / currents.size
         best = mid
         if abs(rate - target_rate) <= tolerance:
             break
@@ -213,10 +267,32 @@ def calibrate_threshold_channels(
     currents shaped ``(T, C, H, W)``, ``ndim - 1`` for linear currents).
     All channels bisect concurrently: each iteration simulates once with
     the full threshold vector and updates every channel's bracket
-    independently.
+    independently. A channel's rate is its spike count over its
+    ``T * E`` entries (``E`` elements per channel), so only counts are
+    simulated, never the spike train.
+
+    Most elements stop mattering long before the last iteration, and
+    those are frozen. Every later threshold of channel ``c`` lies in the
+    current bracket ``[low_c, high_c]``: a midpoint lies between the
+    ends, and each update moves one end onto the midpoint. The bracket is
+    closed because a midpoint of two adjacent floats rounds onto one of
+    them. Suppose no pre-reset membrane value of an element fell inside
+    that bracket during a simulation at a threshold from it. Then, by
+    induction over ``t``, every threshold in the bracket makes the same
+    comparisons, the same resets and hence the same membrane values:
+    each value lies below both thresholds or above both. So the element's
+    spike count is final. On the :data:`FREEZE_ITERATIONS`, such counts
+    move into a per-channel frozen total, and later iterations simulate
+    only the remaining elements. The thresholds equal those of the
+    full bisection bit for bit.
     """
     currents = np.asarray(currents, dtype=np.float64)
     target_rates = np.asarray(target_rates, dtype=np.float64)
+    valid = (target_rates > 0.0) & (target_rates < 1.0)
+    if not valid.all():
+        raise ValueError(
+            f"target_rate must be in (0, 1), got {target_rates[~valid][0]}"
+        )
     channel_axis = channel_axis % currents.ndim
     if channel_axis == 0:
         raise ValueError("channel_axis must not be the time axis")
@@ -224,10 +300,6 @@ def calibrate_threshold_channels(
     # time axis), so the channel slot shifts down by one.
     shape = [1] * (currents.ndim - 1)
     shape[channel_axis - 1] = -1
-
-    def reshape(vector: np.ndarray) -> np.ndarray:
-        return vector.reshape(shape)
-
     channels = target_rates.shape[0]
     if currents.shape[channel_axis] != channels:
         raise ValueError(
@@ -237,16 +309,43 @@ def calibrate_threshold_channels(
     reduce_axes = tuple(i for i in range(currents.ndim) if i != channel_axis)
     scale = np.abs(currents).max(axis=reduce_axes)
     scale = np.where(scale > 0, scale, 1.0)
+    steps = currents.shape[0]
+    # Channel-major (T, C, E): a copy only when channels are not axis 1.
+    active = np.ascontiguousarray(np.moveaxis(currents, channel_axis, 1))
+    active = active.reshape(steps, channels, -1)
+    entries = steps * active.shape[2]
     low = np.zeros(channels)
-    high = scale * max(2.0, currents.shape[0])
+    high = scale * max(2.0, steps)
     mid = 0.5 * (low + high)
-    for _ in range(max_iterations):
-        neuron.v_threshold = reshape(mid)
-        spikes = neuron.forward(currents)
-        rates = spikes.mean(axis=reduce_axes)
-        too_many = rates > target_rates
+    # Spike counts of frozen elements; float64 sums of counts are exact.
+    frozen = np.zeros(channels)
+    owner = None  # channel of each active element, once compacted to (T, n)
+    for iteration in range(max_iterations):
+        freeze = iteration in FREEZE_ITERATIONS
+        if owner is None:
+            threshold = mid[:, None]
+            band = (low[:, None], high[:, None]) if freeze else None
+        else:
+            threshold = mid[owner]
+            band = (low[owner], high[owner]) if freeze else None
+        counts, live = _lif_counts(active, neuron.decay, threshold, neuron.v_reset, band)
+        if owner is None:
+            totals = frozen + counts.sum(axis=1)
+        else:
+            totals = frozen + np.bincount(owner, counts, channels)
+        too_many = totals / entries > target_rates
+        if freeze:
+            if owner is None:
+                frozen += (counts * ~live).sum(axis=1)
+                owner = np.nonzero(live)[0]
+                active = active.reshape(steps, -1)
+                live = live.ravel()
+            else:
+                frozen += np.bincount(owner, counts * ~live, channels)
+                owner = owner.compress(live)
+            active = active.compress(live, axis=1)
         low = np.where(too_many, mid, low)
         high = np.where(too_many, high, mid)
         mid = 0.5 * (low + high)
-    neuron.v_threshold = reshape(mid)
+    neuron.v_threshold = mid.reshape(shape)
     return mid

@@ -1,8 +1,14 @@
 """Tests for input encodings and synthetic dataset generators."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.snn.datasets import (
     SPECS,
     EmbeddingTable,
@@ -90,3 +96,21 @@ class TestDatasets:
     def test_all_specs_resolvable(self):
         for name in SPECS:
             assert get_spec(name).name == name
+
+
+def test_import_leaves_scipy_ndimage_unloaded():
+    """``scipy.ndimage`` loads only when an image or audio input is built."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    script = (
+        "import sys, repro.api, repro.server\n"
+        "assert 'scipy.ndimage' not in sys.modules\n"
+        "from repro.snn.datasets import get_spec, synthetic_image\n"
+        "synthetic_image(get_spec('cifar10'))\n"
+        "assert 'scipy.ndimage' in sys.modules\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert result.returncode == 0, result.stderr

@@ -158,3 +158,216 @@ def test_calibration_property(rate, seed):
     currents = rng.normal(size=(6, 800))
     calibrate_threshold(neuron, currents, rate, tolerance=0.02)
     assert abs(firing_rate(neuron.forward(currents)) - rate) < 0.08
+
+
+# -- oracle: the straightforward loops the fast calibration must match ------
+
+
+def reference_forward(neuron, currents):
+    """``LIFNeuron.forward`` as first written: a fresh array per operation."""
+    currents = np.asarray(currents, dtype=np.float64)
+    if currents.ndim < 1:
+        raise ValueError("currents must have a leading time axis")
+    spikes = np.zeros(currents.shape, dtype=bool)
+    v = np.zeros(currents.shape[1:], dtype=np.float64)
+    for t in range(currents.shape[0]):
+        v = v * neuron.decay + currents[t]
+        fired = v >= neuron.v_threshold
+        spikes[t] = fired
+        v = np.where(fired, neuron.v_reset, v)
+    return spikes
+
+
+def reference_calibrate_threshold(
+    neuron, currents, target_rate, tolerance=0.01, max_iterations=30
+):
+    """Scalar bisection that re-simulates the whole spike train per step."""
+    if not 0.0 < target_rate < 1.0:
+        raise ValueError(f"target_rate must be in (0, 1), got {target_rate}")
+    currents = np.asarray(currents, dtype=np.float64)
+    scale = float(np.abs(currents).max())
+    if scale == 0.0:
+        return float(np.asarray(neuron.v_threshold).ravel()[0])
+    low, high = 0.0, scale * max(2.0, currents.shape[0])
+    best = float(np.asarray(neuron.v_threshold).ravel()[0])
+    for _ in range(max_iterations):
+        mid = 0.5 * (low + high)
+        if mid <= 0.0:
+            break
+        neuron.v_threshold = mid
+        rate = firing_rate(reference_forward(neuron, currents))
+        best = mid
+        if abs(rate - target_rate) <= tolerance:
+            break
+        if rate > target_rate:
+            low = mid  # too many spikes -> raise threshold
+        else:
+            high = mid
+    neuron.v_threshold = best
+    return best
+
+
+def reference_calibrate_threshold_channels(
+    neuron, currents, target_rates, channel_axis=1, max_iterations=25
+):
+    """Per-channel bisection that re-simulates every element per step."""
+    currents = np.asarray(currents, dtype=np.float64)
+    target_rates = np.asarray(target_rates, dtype=np.float64)
+    channel_axis = channel_axis % currents.ndim
+    if channel_axis == 0:
+        raise ValueError("channel_axis must not be the time axis")
+    shape = [1] * (currents.ndim - 1)
+    shape[channel_axis - 1] = -1
+
+    def reshape(vector):
+        return vector.reshape(shape)
+
+    channels = target_rates.shape[0]
+    if currents.shape[channel_axis] != channels:
+        raise ValueError(
+            f"target_rates has {channels} channels but currents axis "
+            f"{channel_axis} has {currents.shape[channel_axis]}"
+        )
+    reduce_axes = tuple(i for i in range(currents.ndim) if i != channel_axis)
+    scale = np.abs(currents).max(axis=reduce_axes)
+    scale = np.where(scale > 0, scale, 1.0)
+    low = np.zeros(channels)
+    high = scale * max(2.0, currents.shape[0])
+    mid = 0.5 * (low + high)
+    for _ in range(max_iterations):
+        neuron.v_threshold = reshape(mid)
+        spikes = reference_forward(neuron, currents)
+        rates = spikes.mean(axis=reduce_axes)
+        too_many = rates > target_rates
+        low = np.where(too_many, mid, low)
+        high = np.where(too_many, high, mid)
+        mid = 0.5 * (low + high)
+    neuron.v_threshold = reshape(mid)
+    return mid
+
+
+STEPS = (1, 2, 4, 8)
+NEURONS = {
+    "lif": lambda: LIFNeuron(tau=2.0),
+    "if": lambda: IFNeuron(),
+    "lif-reset": lambda: LIFNeuron(tau=2.0, v_reset=0.25),
+    "if-negative-reset": lambda: IFNeuron(v_reset=-0.5),
+}
+#: (state shape without time, channel axis into the currents)
+LAYOUTS = {
+    "conv": ((5, 3, 4), 1),
+    "linear": ((7, 5), -1),
+    "middle": ((3, 5, 4), 2),
+}
+
+
+def make_currents(kind, steps, state, channel_axis, rng):
+    """Gaussian currents, or dyadic ones that tie with bisection midpoints.
+
+    Every midpoint is ``max|I_c| * max(2, T)`` times a dyadic fraction,
+    and ``max(2, T)`` is a power of two for the tested ``T``. Channels
+    whose largest magnitude is 1.0, driven by multiples of 1/16 and
+    halved by ``tau=2``, therefore put membrane values exactly on
+    midpoints and bracket ends, where every comparison is a tie.
+    """
+    shape = (steps, *state)
+    if kind == "normal":
+        currents = rng.normal(size=shape)
+    else:
+        currents = rng.integers(-16, 17, size=shape) / 16.0
+        first = np.moveaxis(currents, channel_axis, 1)[0]
+        first[(slice(None),) + (0,) * (first.ndim - 1)] = 1.0
+    # One silent channel: its threshold bisects on a unit scale.
+    np.moveaxis(currents, channel_axis, 1)[:, 1] = 0.0
+    return currents
+
+
+def make_targets(channels, rng):
+    targets = rng.uniform(0.005, 0.95, size=channels)
+    targets[0], targets[-1] = 0.005, 0.95  # heterogeneous_rates' clip bounds
+    return targets
+
+
+class TestCalibrationOracle:
+    """Thresholds and spike trains equal the reference loops bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["normal", "ties"])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("neuron_kind", sorted(NEURONS))
+    @pytest.mark.parametrize("steps", STEPS)
+    def test_channels_match_reference(self, steps, neuron_kind, layout, kind, rng):
+        state, axis = LAYOUTS[layout]
+        currents = make_currents(kind, steps, state, axis, rng)
+        targets = make_targets(currents.shape[axis], rng)
+        fast, slow = NEURONS[neuron_kind](), NEURONS[neuron_kind]()
+        got = calibrate_threshold_channels(fast, currents, targets, channel_axis=axis)
+        want = reference_calibrate_threshold_channels(slow, currents, targets, channel_axis=axis)
+        assert np.array_equal(got, want)
+        assert np.array_equal(fast.v_threshold, slow.v_threshold)
+        assert fast.v_threshold.shape == slow.v_threshold.shape
+        assert np.array_equal(fast.forward(currents), reference_forward(slow, currents))
+
+    @pytest.mark.parametrize("iterations", [1, 6, 7, 11, 15, 40])
+    def test_channels_match_reference_at_any_stop(self, iterations, rng):
+        # Stops before, on and after each freeze iteration.
+        currents = make_currents("ties", 4, (6, 9), 1, rng)
+        targets = make_targets(6, rng)
+        got = calibrate_threshold_channels(
+            LIFNeuron(), currents, targets, max_iterations=iterations
+        )
+        want = reference_calibrate_threshold_channels(
+            LIFNeuron(), currents, targets, max_iterations=iterations
+        )
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("state", [(), (6,), (3, 5)])
+    @pytest.mark.parametrize("neuron_kind", sorted(NEURONS))
+    @pytest.mark.parametrize("steps", STEPS)
+    def test_scalar_matches_reference(self, steps, neuron_kind, state, rng):
+        currents = rng.integers(-16, 17, size=(steps, *state)) / 16.0
+        for rate in (0.005, 0.2, 0.95):
+            fast, slow = NEURONS[neuron_kind](), NEURONS[neuron_kind]()
+            got = calibrate_threshold(fast, currents, rate)
+            want = reference_calibrate_threshold(slow, currents, rate)
+            assert got == want and fast.v_threshold == slow.v_threshold
+            assert np.array_equal(fast.forward(currents), reference_forward(slow, currents))
+
+    @pytest.mark.parametrize("state", [(), (6,), (2, 3, 4)])
+    @pytest.mark.parametrize("neuron_kind", sorted(NEURONS))
+    @pytest.mark.parametrize("steps", STEPS)
+    def test_forward_matches_reference(self, steps, neuron_kind, state, rng):
+        currents = rng.integers(-16, 17, size=(steps, *state)) / 16.0
+        thresholds = [0.5, 0.0, -0.25]
+        if state:
+            thresholds.append(rng.uniform(-0.5, 1.0, size=state[-1]))
+        for threshold in thresholds:
+            neuron = NEURONS[neuron_kind]()
+            neuron.v_threshold = threshold
+            got = neuron.forward(currents)
+            assert got.shape == currents.shape and got.dtype == bool
+            assert np.array_equal(got, reference_forward(neuron, currents))
+
+    def test_freezing_shrinks_the_simulated_set(self, rng, monkeypatch):
+        from repro.snn import neurons
+
+        simulated = []
+        kernel = neurons._lif_counts
+
+        def counting(currents, *args):
+            simulated.append(currents[0].size)
+            return kernel(currents, *args)
+
+        monkeypatch.setattr(neurons, "_lif_counts", counting)
+        currents = rng.normal(size=(4, 16, 64))
+        calibrate_threshold_channels(LIFNeuron(), currents, np.full(16, 0.2))
+        assert len(simulated) == 25
+        assert simulated[0] == 16 * 64
+        assert simulated[-1] < simulated[0] / 4
+
+
+class TestChannelValidation:
+    @pytest.mark.parametrize("bad", [0.0, 1.0, 1.5, -0.1, float("nan")])
+    def test_rejects_target_outside_unit_interval(self, bad, rng):
+        targets = np.array([0.2, bad, 0.3])
+        with pytest.raises(ValueError, match=r"target_rate must be in \(0, 1\)"):
+            calibrate_threshold_channels(LIFNeuron(), rng.normal(size=(4, 3, 5)), targets)
