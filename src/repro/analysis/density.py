@@ -10,6 +10,7 @@ from repro.baselines.ptb import windowed_density
 from repro.baselines.stellar import fs_density
 from repro.core.forest import build_two_prefix_forest
 from repro.core.prosparsity import ProSparsityStats, transform_matrix
+from repro.engine.pipeline import ProsperityEngine
 from repro.snn.trace import ModelTrace
 
 
@@ -49,28 +50,19 @@ def trace_prosparsity_stats(
 
     ``engine``, when given, must be a
     :class:`repro.engine.ProsperityEngine`; its backend and forest cache
-    then carry the transforms (bit-identical stats, faster sweeps). An
-    engine with ``plan="trace"`` transforms the whole trace in one
-    cross-workload plan — same stats, one kernel per tile shape.
+    then carry the transforms. Without one, a default engine is built
+    for this call and closed afterwards. Stats and RNG draws are
+    bit-identical to the core ``transform_matrix`` loop either way.
     """
+    if engine is None:
+        with ProsperityEngine(tile_m=tile_m, tile_k=tile_k) as engine:
+            return trace_prosparsity_stats(
+                trace, tile_m, tile_k, max_tiles, rng, engine
+            )
     stats = ProSparsityStats()
-    if engine is not None and getattr(engine, "plan", "matrix") == "trace":
-        for result in engine.transform_trace(
-            trace.workloads, tile_m, tile_k, max_tiles=max_tiles, rng=rng
-        ):
-            stats.merge(result.stats)
-        return stats
-    for workload in trace.workloads:
-        if engine is None:
-            result = transform_matrix(
-                workload.spikes, tile_m, tile_k,
-                keep_transforms=False, max_tiles=max_tiles, rng=rng,
-            )
-        else:
-            result = engine.transform_matrix(
-                workload.spikes, tile_m, tile_k,
-                keep_transforms=False, max_tiles=max_tiles, rng=rng,
-            )
+    for result in engine.transform_trace(
+        trace.workloads, tile_m, tile_k, max_tiles=max_tiles, rng=rng
+    ):
         stats.merge(result.stats)
     return stats
 

@@ -11,7 +11,9 @@ from repro.arch.energy import area_model
 from repro.arch.ppu import MODE_BIT, MODE_PROSPERITY
 from repro.arch.simulator import ProsperitySimulator
 from repro.analysis.density import trace_prosparsity_stats
+from repro.engine.backends import DEFAULT_BACKEND
 from repro.engine.pipeline import ProsperityEngine
+from repro.engine.planner import DEFAULT_PLAN
 from repro.snn.trace import ModelTrace
 
 
@@ -34,8 +36,8 @@ def _latency_ratio(
     config: ProsperityConfig,
     max_tiles: int | None,
     rng: np.random.Generator,
-    backend="reference",
-    plan: str = "matrix",
+    backend=DEFAULT_BACKEND,
+    plan: str = DEFAULT_PLAN,
 ) -> float:
     """Prosperity-vs-bit-sparsity latency on the same hardware.
 
@@ -69,9 +71,9 @@ def sweep_tile_sizes(
     base_config: ProsperityConfig | None = None,
     max_tiles: int | None = 24,
     rng: np.random.Generator | None = None,
-    backend: str = "reference",
+    backend: str = DEFAULT_BACKEND,
     workers: int | None = None,
-    plan: str = "matrix",
+    plan: str = DEFAULT_PLAN,
 ) -> tuple[list[SweepPoint], list[SweepPoint]]:
     """Fig. 7's two sweeps: vary m at fixed k, and k at fixed m.
 
@@ -83,11 +85,12 @@ def sweep_tile_sizes(
     Returns ``(m_sweep, k_sweep)``. Density always falls with larger m
     (larger prefix search scope) while a middle k is optimal; area/power
     grow super-linearly with m. ``backend`` selects the transform
-    implementation (results are backend-independent; the ``fused`` and
-    ``sharded`` backends just finish the sweep faster); ``workers``
-    forwards a process count to the ``sharded`` backend; ``plan="trace"``
-    routes each configuration's transforms through the trace-level
-    planner (identical sweep points, cross-workload batching). Backends
+    implementation (results are backend-independent; the default
+    ``fused`` backend is the fast path, ``reference`` the oracle);
+    ``workers`` forwards a process count to the ``sharded`` backend;
+    ``plan="trace"`` (the default) routes each configuration's transforms
+    through the trace-level planner (identical sweep points,
+    cross-workload batching). Backends
     constructed here (by name) are closed before returning, so repeated
     sweeps never leak worker pools.
     """

@@ -50,6 +50,7 @@ from repro.core.prosparsity import (
     validate_tile_shape,
 )
 from repro.engine.backends import (
+    DEFAULT_BACKEND,
     available_backends,
     backend_accepts_option,
     backend_option_error,
@@ -57,7 +58,7 @@ from repro.engine.backends import (
     validate_workers,
 )
 from repro.engine.faults import FaultPlan
-from repro.engine.planner import validate_plan_mode
+from repro.engine.planner import DEFAULT_PLAN, validate_plan_mode
 from repro.engine.store import VERIFY_POLICIES
 from repro.workloads import PRESETS
 
@@ -94,9 +95,9 @@ class WorkloadConfig:
 class EngineConfig:
     """How the ProSparsity engine executes: backend, plan, batching."""
 
-    backend: str = "vectorized"
+    backend: str = DEFAULT_BACKEND
     workers: int | None = None
-    plan: str = "matrix"
+    plan: str = DEFAULT_PLAN
     batch: int = 8
     cache_size: int = 4096
     tile_m: int = DEFAULT_TILE_M

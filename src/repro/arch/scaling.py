@@ -20,7 +20,8 @@ import numpy as np
 
 from repro.arch.config import ProsperityConfig
 from repro.arch.ppu import MODE_PROSPERITY, compute_phase_cycles, prosparsity_phase_cycles
-from repro.core.prosparsity import TILE_RECORD_FIELDS, transform_matrix
+from repro.core.prosparsity import TILE_RECORD_FIELDS
+from repro.engine.pipeline import ProsperityEngine
 from repro.snn.trace import ModelTrace
 
 _FIELD = {name: i for i, name in enumerate(TILE_RECORD_FIELDS)}
@@ -102,15 +103,12 @@ def scaling_study(
     """Evaluate the Sec. VIII-A scaling grid over a model trace."""
     config = config if config is not None else ProsperityConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
-    per_workload_records: list[tuple[np.ndarray, int, float]] = []
-    for workload in trace.workloads:
-        result = transform_matrix(
-            workload.spikes, config.tile_m, config.tile_k,
-            keep_transforms=False, max_tiles=max_tiles, rng=rng,
-        )
-        per_workload_records.append(
-            (result.tile_records, workload.n, 1.0 / result.stats.sample_fraction)
-        )
+    with ProsperityEngine(tile_m=config.tile_m, tile_k=config.tile_k) as engine:
+        results = engine.transform_trace(trace.workloads, max_tiles=max_tiles, rng=rng)
+    per_workload_records = [
+        (result.tile_records, workload.n, 1.0 / result.stats.sample_fraction)
+        for workload, result in zip(trace.workloads, results)
+    ]
 
     def total_cycles(num_ppus: int, issue_width: int) -> float:
         total = 0.0

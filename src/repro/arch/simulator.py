@@ -27,8 +27,9 @@ from repro.arch.ppu import (
 from repro.arch.report import LayerResult, SimReport
 from repro.arch.sorter import BitonicSorter
 from repro.core.prosparsity import TILE_RECORD_FIELDS
-from repro.engine.backends import Backend
+from repro.engine.backends import DEFAULT_BACKEND, Backend
 from repro.engine.pipeline import ProsperityEngine
+from repro.engine.planner import DEFAULT_PLAN
 from repro.snn.trace import GeMMWorkload, ModelTrace
 from repro.utils.bitops import pack_rows, popcount_rows
 
@@ -76,13 +77,15 @@ class ProsperitySimulator:
         ProSparsity transform backend (see :mod:`repro.engine.backends`);
         every backend yields bit-identical tile records, so simulation
         results are backend-independent — only wall-clock time changes.
+        Defaults to the ``fused`` fast path; ``reference`` is the oracle.
     workers:
         Process count forwarded to the ``sharded`` backend (``None``
         leaves the backend default; other backends reject it).
     plan:
         Execution-planning mode for the transform (``"matrix"`` or
-        ``"trace"``); under ``"trace"`` :meth:`simulate` transforms the
-        whole trace in one cross-workload plan instead of per workload.
+        ``"trace"``, the default); under ``"trace"`` :meth:`simulate`
+        transforms the whole trace in one cross-workload plan instead of
+        per workload.
         Simulation results are identical — only wall-clock changes.
         Ignored when a pre-built ``engine`` is given (its plan wins).
     engine:
@@ -96,9 +99,9 @@ class ProsperitySimulator:
         mode: str = MODE_PROSPERITY,
         max_tiles_per_workload: int | None = None,
         rng: np.random.Generator | None = None,
-        backend: str | Backend = "reference",
+        backend: str | Backend = DEFAULT_BACKEND,
         workers: int | None = None,
-        plan: str = "matrix",
+        plan: str = DEFAULT_PLAN,
         engine: ProsperityEngine | None = None,
     ):
         if mode not in MODES:
@@ -324,8 +327,8 @@ class ProsperitySimulator:
         return report
 
     def _trace_transforms(self, trace: ModelTrace) -> list:
-        """Whole-trace transform results when trace planning is on."""
-        if self.engine.plan != "trace" or self.mode in (MODE_DENSE, MODE_BIT):
+        """Whole-trace transform results (none for the prefix-free modes)."""
+        if self.mode in (MODE_DENSE, MODE_BIT):
             return [None] * len(trace.workloads)
         return self.engine.transform_trace(
             trace.workloads,

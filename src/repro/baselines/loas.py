@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.arch.report import LayerResult
 from repro.baselines.base import AcceleratorModel, dram_cycles, row_popcounts
-from repro.core.prosparsity import ProSparsityStats, transform_matrix
 from repro.snn.trace import GeMMWorkload, ModelTrace
 
 E_ADD = 0.86
@@ -106,11 +105,8 @@ def activation_density_with_prosparsity(
     ProSparsity on top reduces the activation side by the same ratio as on
     the unpruned model.
     """
-    stats = ProSparsityStats()
-    for workload in trace.workloads:
-        result = transform_matrix(
-            workload.spikes, tile_m, tile_k,
-            keep_transforms=False, max_tiles=max_tiles, rng=rng,
-        )
-        stats.merge(result.stats)
+    # Imported here: repro.analysis.density imports this module.
+    from repro.analysis.density import trace_prosparsity_stats
+
+    stats = trace_prosparsity_stats(trace, tile_m, tile_k, max_tiles, rng)
     return stats.bit_density, stats.product_density

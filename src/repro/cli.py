@@ -13,13 +13,13 @@ Examples
 ::
 
     repro density  --model vgg16 --dataset cifar100
-    repro simulate --model resnet18 --dataset cifar10 --backend vectorized
+    repro simulate --model resnet18 --dataset cifar10 --backend reference
     repro sweep    --model vgg16 --dataset cifar100
     repro tradeoff --sparsity-increase 0.1335
     repro scaling  --model vgg16 --dataset cifar10
     repro run      --model vgg16 --backend fused --batch 8 --verify
     repro run      --model vgg16 --backend sharded --workers 4
-    repro run      --config run.toml --set engine.plan=trace
+    repro run      --config run.toml --set engine.plan=matrix
     repro config dump --set workload.model=lenet5 > run.toml
     repro batch    --config a.toml --config b.toml --set engine.backend=fused
     repro serve    --config serve.toml --port 8707
@@ -43,6 +43,7 @@ from repro.analysis.report import format_percent, format_ratio, format_table
 from repro.analysis.tradeoff import breakeven_sparsity_increase
 from repro.api import (
     STREAM_SOURCES,
+    EngineConfig,
     EngineRunResult,
     Job,
     RunConfig,
@@ -703,7 +704,7 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
         "--set", dest="sets", action="append", metavar="SECTION.KEY=VALUE",
         default=[],
         help="config override (repeatable, applied after flags), "
-        "e.g. --set engine.plan=trace",
+        "e.g. --set engine.plan=matrix",
     )
 
 
@@ -729,7 +730,7 @@ def _add_backend_args(parser: argparse.ArgumentParser) -> None:
         "--backend", default=None, choices=available_backends(),
         help="ProSparsity transform backend; results are identical, "
         "fused/sharded are the fast tile-batched paths "
-        "(config default: vectorized)",
+        f"(config default: {EngineConfig.backend})",
     )
     parser.add_argument(
         "--workers", type=int, default=None,
@@ -740,7 +741,7 @@ def _add_backend_args(parser: argparse.ArgumentParser) -> None:
         "--plan", default=None, choices=PLAN_MODES,
         help="execution planning scope: 'matrix' batches per workload, "
         "'trace' buckets and dedups tiles across the whole trace "
-        "(config default: matrix)",
+        f"(config default: {EngineConfig.plan})",
     )
 
 
@@ -768,8 +769,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_args(run, sampling=False)
     _add_backend_args(run)
     run.add_argument("--batch", type=int, default=None,
-                     help="max layers stacked into one engine pass "
-                     "(config default: 8)")
+                     help="max layers stacked into one engine pass under "
+                     "--plan matrix (config default: 8)")
     run.add_argument("--cache-size", type=int, default=None,
                      help="forest cache capacity in distinct tiles, 0 = off "
                      "(config default: 4096)")

@@ -14,6 +14,7 @@ engine only changes *how fast* the answer arrives.
 """
 
 from repro.engine.backends import (
+    DEFAULT_BACKEND,
     Backend,
     ReferenceBackend,
     VectorizedBackend,
@@ -26,6 +27,7 @@ from repro.engine.faults import FaultInjected, FaultPlan, FaultSpec
 from repro.engine.fused import FusedBackend
 from repro.engine.parallel import PoolBrokenError, ShardedBackend
 from repro.engine.planner import (
+    DEFAULT_PLAN,
     PLAN_MODES,
     BufferArena,
     TracePlan,
@@ -45,6 +47,8 @@ __all__ = [
     "Backend",
     "BufferArena",
     "CompiledBackend",
+    "DEFAULT_BACKEND",
+    "DEFAULT_PLAN",
     "FaultInjected",
     "FaultPlan",
     "FaultSpec",

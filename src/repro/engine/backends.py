@@ -48,6 +48,7 @@ from repro.utils.bitops import popcount_rows
 
 __all__ = [
     "Backend",
+    "DEFAULT_BACKEND",
     "ReferenceBackend",
     "VectorizedBackend",
     "available_backends",
@@ -413,6 +414,10 @@ class VectorizedBackend(Backend):
 # ---------------------------------------------------------------------------
 
 _BACKENDS: dict[str, type[Backend]] = {}
+
+#: The backend every entry point uses unless told otherwise: the
+#: tile-batched fast path. ``reference`` stays the oracle, opt-in.
+DEFAULT_BACKEND = "fused"
 
 
 def register_backend(cls: type[Backend]) -> type[Backend]:

@@ -37,8 +37,14 @@ from repro.core.prosparsity import (
     validate_tile_shape,
 )
 from repro.core.spike_matrix import SpikeMatrix, SpikeTile
-from repro.engine.backends import Backend, ReferenceBackend, get_backend
+from repro.engine.backends import (
+    DEFAULT_BACKEND,
+    Backend,
+    ReferenceBackend,
+    get_backend,
+)
 from repro.engine.planner import (
+    DEFAULT_PLAN,
     PLANNED_PROFILE_STAGES,
     TracePlanner,
     validate_plan_mode,
@@ -315,7 +321,8 @@ class ProsperityEngine:
     ----------
     backend:
         Backend name (``"reference"`` / ``"vectorized"`` / ``"fused"`` /
-        ``"sharded"``) or instance.
+        ``"sharded"``) or instance; :data:`~repro.engine.backends.
+        DEFAULT_BACKEND` (``"fused"``) by default.
     cache_size:
         LRU capacity in distinct tile contents; ``0`` disables caching.
     workers:
@@ -333,8 +340,9 @@ class ProsperityEngine:
         classic fused path), ``"trace"`` routes whole-trace runs and
         GeMM execution through the :class:`~repro.engine.planner.
         TracePlanner` — cross-workload shape buckets, one global content
-        dedup per bucket, arena-backed buffers reused across runs.
-        Records are bit-identical either way.
+        dedup per bucket, arena-backed buffers reused across runs
+        (:data:`~repro.engine.planner.DEFAULT_PLAN`). Records are
+        bit-identical either way.
     store:
         Optional :class:`~repro.engine.store.ResultStore` layered under
         the in-memory cache: record misses consult it before the kernel
@@ -347,12 +355,12 @@ class ProsperityEngine:
 
     def __init__(
         self,
-        backend: str | Backend = "vectorized",
+        backend: str | Backend = DEFAULT_BACKEND,
         tile_m: int = DEFAULT_TILE_M,
         tile_k: int = DEFAULT_TILE_K,
         cache_size: int = 1024,
         workers: int | None = None,
-        plan: str = "matrix",
+        plan: str = DEFAULT_PLAN,
         backend_options: dict | None = None,
         store=None,
     ):
@@ -884,6 +892,7 @@ class ProsperityEngine:
             tile_m=self.tile_m,
             tile_k=self.tile_k,
             cache_size=0,
+            plan="matrix",
         )
         workloads = trace.workloads if isinstance(trace, ModelTrace) else trace
         for workload in workloads:

@@ -73,6 +73,7 @@ from repro.utils.bitops import popcount_rows
 __all__ = [
     "PLAN_MODES",
     "PLANNED_PROFILE_STAGES",
+    "DEFAULT_PLAN",
     "BufferArena",
     "PlanBucket",
     "TracePlan",
@@ -83,6 +84,9 @@ __all__ = [
 #: Execution-planning modes: ``matrix`` (per-matrix fused batching, the
 #: PR 2 behaviour) and ``trace`` (cross-workload planner batching).
 PLAN_MODES = ("matrix", "trace")
+
+#: The planning mode every entry point uses unless told otherwise.
+DEFAULT_PLAN = "trace"
 
 #: Profile stage keys a trace-planned engine run may report, in
 #: pipeline order. ``pack``/``select``/``record``/``merge`` keep their

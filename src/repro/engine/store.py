@@ -268,7 +268,11 @@ class ResultStore:
         return self.directory / name[:2] / name
 
     def _scan_entries(self):
-        """Yield ``(path, mtime, size)`` for every published entry."""
+        """Yield ``(path, mtime, size)`` for every published entry.
+
+        In-flight ``.tmp-*`` files also end in ``.rec`` but belong to a
+        live writer until its ``os.replace``; they are never entries.
+        """
         try:
             shards = list(self.directory.iterdir())
         except OSError:
@@ -277,7 +281,7 @@ class ResultStore:
             if not shard.is_dir() or shard.name == "quarantine":
                 continue
             for entry in shard.iterdir():
-                if entry.suffix != ".rec":
+                if entry.suffix != ".rec" or entry.name.startswith(".tmp-"):
                     continue
                 try:
                     info = entry.stat()

@@ -14,7 +14,7 @@ from repro.engine import get_backend
 class TestValidation:
     def test_defaults_are_valid(self):
         cfg = RunConfig()
-        assert cfg.engine.backend == "vectorized"
+        assert (cfg.engine.backend, cfg.engine.plan) == ("fused", "trace")
         assert cfg.workload.model == "vgg16"
 
     def test_unknown_backend(self):
@@ -178,7 +178,8 @@ class TestFileRoundTrip:
 
     def test_emitted_json_is_valid_json(self):
         parsed = json.loads(RunConfig().to_json())
-        assert parsed["engine"]["backend"] == "vectorized"
+        assert parsed["engine"]["backend"] == "fused"
+        assert parsed["engine"]["plan"] == "trace"
 
     def test_unsupported_suffix(self, tmp_path):
         with pytest.raises(ValueError, match=".toml or .json"):
@@ -271,9 +272,9 @@ class TestTomlEmitterEdgeCases:
 class TestOverrides:
     def test_with_overrides_returns_new_instance(self):
         base = RunConfig()
-        derived = base.with_overrides({"engine.backend": "fused"})
-        assert derived.engine.backend == "fused"
-        assert base.engine.backend == "vectorized"  # immutability
+        derived = base.with_overrides({"engine.backend": "vectorized"})
+        assert derived.engine.backend == "vectorized"
+        assert base.engine.backend == "fused"  # immutability
         assert derived is not base
 
     def test_frozen_sections(self):

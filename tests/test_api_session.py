@@ -86,7 +86,7 @@ class TestResults:
         assert result.config is cfg
         assert result.seconds > 0
         assert result.verified is None  # not requested
-        with ProsperityEngine(backend="fused") as engine:
+        with ProsperityEngine(backend="fused", plan="matrix") as engine:
             direct = engine.run(session.trace(), batch=cfg.engine.batch)
         assert result.report.total_tiles == direct.total_tiles
         for mine, theirs in zip(result.report.runs, direct.runs):
@@ -255,10 +255,11 @@ class TestSharedEngine:
             mismatched = lenet_config(**{"engine.backend": "vectorized"})
             with pytest.raises(ValueError, match="does not match"):
                 Session(mismatched, engine=owner.engine)
-            # Plan mode is part of the contract too: a matrix-planned
-            # engine cannot serve a trace-planned config.
+            # Plan mode is part of the contract too: a trace-planned
+            # engine cannot serve a matrix-planned config.
+            assert owner.engine.plan == "trace"
             planned = lenet_config(**{"engine.backend": "fused",
-                                      "engine.plan": "trace"})
+                                      "engine.plan": "matrix"})
             with pytest.raises(ValueError, match="does not match"):
                 Session(planned, engine=owner.engine)
 

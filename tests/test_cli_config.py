@@ -133,7 +133,8 @@ class TestConfigDump:
 
         assert main(["config", "dump", "--json"]) == 0
         parsed = json.loads(capsys.readouterr().out)
-        assert parsed["engine"]["backend"] == "vectorized"
+        assert parsed["engine"]["backend"] == "fused"
+        assert parsed["engine"]["plan"] == "trace"
 
     def test_dump_then_config_flag(self, capsys, tmp_path):
         """`repro config dump > f.toml; repro run --config f.toml` works."""

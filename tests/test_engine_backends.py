@@ -27,6 +27,7 @@ from repro.engine.backends import (
     register_backend,
     select_prefixes_codes,
 )
+from repro.engine.planner import PLAN_MODES
 from repro.utils.bitops import popcount_rows
 
 DENSITIES = (0.01, 0.05, 0.15, 0.3, 0.6, 0.95)
@@ -198,7 +199,10 @@ class TestEndToEndGemm:
         expected = execute_gemm(matrix, weights, tile_m=64, tile_k=16)
         assert np.array_equal(expected, dense_spiking_gemm(matrix.bits, weights))
         for name in available_backends():
-            engine = ProsperityEngine(backend=name, tile_m=64, tile_k=16)
-            out = engine.execute_gemm(matrix, weights)
-            assert np.array_equal(out, expected), name
-            assert out.dtype == expected.dtype
+            for plan in PLAN_MODES:
+                engine = ProsperityEngine(
+                    backend=name, tile_m=64, tile_k=16, plan=plan
+                )
+                out = engine.execute_gemm(matrix, weights)
+                assert np.array_equal(out, expected), (name, plan)
+                assert out.dtype == expected.dtype

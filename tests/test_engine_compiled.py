@@ -292,7 +292,9 @@ class TestProfileAndReport:
                 name="w0", spikes=random_spike_matrix(256, 16, 0.3, rng), n=8
             )
         ]
-        engine = ProsperityEngine(backend="compiled", tile_m=64, tile_k=16)
+        engine = ProsperityEngine(
+            backend="compiled", tile_m=64, tile_k=16, plan="matrix"
+        )
         engine.run(trace, batch=4)
         second = engine.run(trace, batch=4)
         assert second.profile["warmup"] == 0.0

@@ -234,7 +234,9 @@ class TestFusedCacheAndProfile:
         assert backend.profile["record"] > 0
 
     def test_engine_report_profile(self, rng):
-        engine = ProsperityEngine(backend="fused", tile_m=64, tile_k=16)
+        engine = ProsperityEngine(
+            backend="fused", tile_m=64, tile_k=16, plan="matrix"
+        )
         from repro.snn.trace import GeMMWorkload
 
         trace = [
@@ -248,8 +250,12 @@ class TestFusedCacheAndProfile:
         assert report.backend == "fused"
 
     def test_engine_run_matches_vectorized(self, vgg_trace):
-        vec = ProsperityEngine(backend="vectorized", tile_m=256, tile_k=16)
-        fused = ProsperityEngine(backend="fused", tile_m=256, tile_k=16)
+        vec = ProsperityEngine(
+            backend="vectorized", tile_m=256, tile_k=16, plan="matrix"
+        )
+        fused = ProsperityEngine(
+            backend="fused", tile_m=256, tile_k=16, plan="matrix"
+        )
         vec_report = vec.run(vgg_trace, batch=8)
         fused_report = fused.run(vgg_trace, batch=8)
         assert [r.name for r in vec_report.runs] == [

@@ -97,9 +97,11 @@ class TestShardedEquivalence:
         assert pool_first is not None
 
     def test_engine_run_matches_vectorized(self, pooled_backends, vgg_trace):
-        vectorized = ProsperityEngine(backend="vectorized", tile_m=256, tile_k=16)
+        vectorized = ProsperityEngine(
+            backend="vectorized", tile_m=256, tile_k=16, plan="matrix"
+        )
         sharded = ProsperityEngine(
-            backend=pooled_backends[2], tile_m=256, tile_k=16
+            backend=pooled_backends[2], tile_m=256, tile_k=16, plan="matrix"
         )
         vec_report = vectorized.run(vgg_trace, batch=8)
         shard_report = sharded.run(vgg_trace, batch=8)

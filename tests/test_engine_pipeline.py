@@ -8,6 +8,7 @@ import pytest
 from repro.core.prosparsity import transform_matrix
 from repro.core.spike_matrix import SpikeMatrix, SpikeTile, random_spike_matrix
 from repro.engine import (
+    PLAN_MODES,
     ForestCache,
     ProsperityEngine,
     stats_from_records,
@@ -132,27 +133,33 @@ class TestEngineTransform:
     @pytest.mark.parametrize("backend", ["reference", "vectorized"])
     def test_matches_core_transform(self, backend, rng):
         matrix = random_spike_matrix(200, 50, 0.2, rng, 0.4)
-        engine = ProsperityEngine(backend=backend, tile_m=64, tile_k=16)
         core = transform_matrix(matrix, 64, 16, keep_transforms=False)
-        mine = engine.transform_matrix(matrix)
-        assert np.array_equal(core.tile_records, mine.tile_records)
-        assert vars(core.stats) == vars(mine.stats)
+        for plan in PLAN_MODES:
+            engine = ProsperityEngine(
+                backend=backend, tile_m=64, tile_k=16, plan=plan
+            )
+            mine = engine.transform_matrix(matrix)
+            assert np.array_equal(core.tile_records, mine.tile_records), plan
+            assert vars(core.stats) == vars(mine.stats), plan
 
     @pytest.mark.parametrize("backend", ["reference", "vectorized"])
     def test_sampled_matches_core(self, backend, rng):
         matrix = random_spike_matrix(400, 60, 0.15, rng, 0.3)
-        engine = ProsperityEngine(backend=backend, tile_m=64, tile_k=16)
         core = transform_matrix(
             matrix, 64, 16, keep_transforms=False, max_tiles=6,
             rng=np.random.default_rng(9),
         )
-        mine = engine.transform_matrix(
-            matrix, max_tiles=6, rng=np.random.default_rng(9)
-        )
-        assert np.array_equal(core.tile_records, mine.tile_records)
-        assert core.stats.sample_fraction == pytest.approx(
-            mine.stats.sample_fraction
-        )
+        for plan in PLAN_MODES:
+            engine = ProsperityEngine(
+                backend=backend, tile_m=64, tile_k=16, plan=plan
+            )
+            mine = engine.transform_matrix(
+                matrix, max_tiles=6, rng=np.random.default_rng(9)
+            )
+            assert np.array_equal(core.tile_records, mine.tile_records), plan
+            assert core.stats.sample_fraction == pytest.approx(
+                mine.stats.sample_fraction
+            )
 
     def test_keep_transforms_builds_plans(self, rng):
         matrix = random_spike_matrix(100, 20, 0.3, rng, 0.2)
@@ -208,7 +215,7 @@ class TestBatchedRun:
         ]
         for batch in (1, 2, 8):
             engine = ProsperityEngine(
-                backend="vectorized", tile_m=engine_m, tile_k=16
+                backend="vectorized", tile_m=engine_m, tile_k=16, plan="matrix"
             )
             report = engine.run(workloads, batch=batch)
             assert [r.name for r in report.runs] == list("abcde")
@@ -232,7 +239,9 @@ class TestBatchedRun:
             _workload("x", rng.random((64, 16)) < 0.3),
             _workload("y", rng.random((64, 16)) < 0.3),
         ]
-        engine = ProsperityEngine(backend="vectorized", tile_m=64, tile_k=16)
+        engine = ProsperityEngine(
+            backend="vectorized", tile_m=64, tile_k=16, plan="matrix"
+        )
         report = engine.run(trace_workloads, batch=4)
         assert report.total_tiles == sum(r.tiles for r in report.runs)
         assert report.tiles_per_sec > 0
@@ -243,10 +252,22 @@ class TestBatchedRun:
         """Repeated spike tiles across timesteps must be cache hits."""
         bits = rng.random((64, 16)) < 0.3
         repeated = np.vstack([bits, bits, bits, bits])  # 4 "timesteps"
-        engine = ProsperityEngine(backend="vectorized", tile_m=64, tile_k=16)
+        engine = ProsperityEngine(
+            backend="vectorized", tile_m=64, tile_k=16, plan="matrix"
+        )
         engine.run([_workload("t", repeated)], batch=1)
         assert engine.cache.hits >= 3
         assert engine.cache.misses <= 1
+
+    def test_identical_timestep_tiles_dedup_under_trace_plan(self, rng):
+        """The trace plan folds repeated timestep tiles before the kernel."""
+        bits = rng.random((64, 16)) < 0.3
+        repeated = np.vstack([bits, bits, bits, bits])  # 4 "timesteps"
+        engine = ProsperityEngine(tile_m=64, tile_k=16)
+        report = engine.run([_workload("t", repeated)])
+        assert report.plan == "trace"
+        assert report.planned_tiles == 4
+        assert report.unique_tiles == 1
 
     def test_invalid_batch_rejected(self, rng):
         engine = ProsperityEngine()

@@ -158,7 +158,7 @@ class TestPlannedRecordEquivalence:
 
     def test_plan_modes_identical_on_real_trace(self, vgg_trace):
         matrix_report = ProsperityEngine(
-            backend="fused", tile_m=256, tile_k=16
+            backend="fused", tile_m=256, tile_k=16, plan="matrix"
         ).run(vgg_trace, batch=8)
         trace_report = ProsperityEngine(
             backend="fused", tile_m=256, tile_k=16, plan="trace"
@@ -171,8 +171,9 @@ class TestPlannedRecordEquivalence:
         workloads = self._trace(rng)
         engine = ProsperityEngine(backend="fused", tile_m=TILE_M, tile_k=TILE_K)
         default = engine.run(workloads)
-        overridden = engine.run(workloads, plan="trace")
-        assert default.plan == "matrix" and overridden.plan == "trace"
+        overridden = engine.run(workloads, plan="matrix")
+        assert default.plan == "trace" and overridden.plan == "matrix"
+        assert engine.run(workloads).plan == "trace"  # per call only
         for mine, theirs in zip(overridden.runs, default.runs):
             assert np.array_equal(mine.records, theirs.records)
 
@@ -276,7 +277,7 @@ class TestDedupStats:
 
     def test_matrix_mode_reports_no_dedup(self, rng):
         report = ProsperityEngine(
-            backend="fused", tile_m=TILE_M, tile_k=TILE_K
+            backend="fused", tile_m=TILE_M, tile_k=TILE_K, plan="matrix"
         ).run(_workloads(rng, [(64, 16, 0.3, 0.0)]))
         assert report.planned_tiles == 0
         assert report.unique_tiles == 0
@@ -327,8 +328,9 @@ class TestTransformTrace:
             backend="fused", tile_m=TILE_M, tile_k=TILE_K, plan="trace"
         )
         loop = [
-            ProsperityEngine(backend="fused", tile_m=TILE_M, tile_k=TILE_K)
-            .transform_matrix(w.spikes)
+            ProsperityEngine(
+                backend="fused", tile_m=TILE_M, tile_k=TILE_K, plan="matrix"
+            ).transform_matrix(w.spikes)
             for w in workloads
         ]
         planned = engine.transform_trace(workloads)
@@ -365,7 +367,7 @@ class TestPlannedGemm:
         matrix = random_spike_matrix(130, 33, 0.3, rng, 0.4)
         weights = rng.integers(-5, 6, size=(33, 9))
         per_tile = ProsperityEngine(
-            backend="vectorized", tile_m=TILE_M, tile_k=TILE_K
+            backend="vectorized", tile_m=TILE_M, tile_k=TILE_K, plan="matrix"
         ).execute_gemm(matrix, weights)
         planned = ProsperityEngine(
             backend="vectorized", tile_m=TILE_M, tile_k=TILE_K, plan="trace"
@@ -378,7 +380,7 @@ class TestPlannedGemm:
         matrix = random_spike_matrix(96, 40, 0.25, rng, 0.3)
         weights = rng.standard_normal((40, 5))
         per_tile = ProsperityEngine(
-            backend="vectorized", tile_m=32, tile_k=16
+            backend="vectorized", tile_m=32, tile_k=16, plan="matrix"
         ).execute_gemm(matrix, weights)
         planned = ProsperityEngine(
             backend="vectorized", tile_m=32, tile_k=16, plan="trace"

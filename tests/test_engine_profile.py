@@ -108,7 +108,9 @@ class TestProfileContract:
 
     def test_profile_isolated_between_runs(self, rng):
         """Per-run profiles are deltas, not lifetime accumulations."""
-        engine = ProsperityEngine(backend="fused", tile_m=64, tile_k=16)
+        engine = ProsperityEngine(
+            backend="fused", tile_m=64, tile_k=16, plan="matrix"
+        )
         trace = _trace(rng)
         first = engine.run(trace, batch=4)
         second = engine.run(trace, batch=4)

@@ -287,6 +287,30 @@ class TestTmpReclaim:
         with sync_store(tmp_path):
             assert live.exists()
 
+    def test_in_flight_tmp_is_not_an_entry(self, tmp_path):
+        # A publish in progress after open: the temp file carries the
+        # final entry name (so it ends in .rec) and is still truncated.
+        entry_size = len(
+            struct.pack("<4sqqq", b"PRS1", 0, 0, 0)
+        ) + 8 * len(TILE_RECORD_FIELDS) + 16
+        with sync_store(tmp_path, max_bytes=entry_size * 4) as store:
+            for i in range(2):
+                store.put(make_key(f"f{i}"), make_record(i))
+            real = store._entry_path(make_key("f2"))
+            real.parent.mkdir(exist_ok=True)
+            tmp = real.parent / f".tmp-{os.getpid()}-99-{real.name}"
+            tmp.write_bytes(b"\0" * (entry_size * 8))
+            assert store.verify_all() == (2, 0)
+            stats = store.stats()
+            assert (stats.entries, stats.quarantined) == (2, 0)
+            assert stats.total_bytes == 2 * entry_size
+            store._evict()  # over budget only if the temp were counted
+            assert store.counters()["store_evictions"] == 0
+            assert store._bytes == 2 * entry_size
+            assert store.clear() == 2
+            assert tmp.exists()
+            assert tmp.stat().st_size == entry_size * 8
+
 
 class TestTieredForestCache:
     def test_store_hit_backfills_memory(self, tmp_path):
