@@ -1,19 +1,12 @@
-"""Engine throughput: reference vs vectorized vs fused vs sharded vs
-plan vs compiled.
+"""Engine throughput: the trace-planned fused path against the oracle.
 
 This is the perf gate for the engine subsystem. Every run re-checks that
-the bulk backends' tile records are bit-identical to the reference
-oracle on each tier-1 workload, measures tiles/sec per backend, and
-asserts the contract speedups: on VGG-16 the vectorized backend >= 3x
-over the reference path (PR 1), the fused tile-batched backend >= 3x
-over vectorized (PR 2), and the Numba-``compiled`` backend >= 3x over
-fused (ISSUE 6) — the last only where the JIT is actually active
-(numba installed, ``REPRO_NO_JIT`` unset); in fallback environments the
-compiled row is measured and recorded as ``compiled[fallback]`` but the
-native contract cannot be asserted. On a multi-timestep trace the
-trace-level planner (``plan="trace"``) >= 1.5x over per-matrix fused
-(PR 3). A sharded smoke (workers=2) checks multiprocess bit-identity on
-every run.
+the trace-planned ``fused`` records are bit-identical to the per-tile
+:mod:`repro.core` oracle on each tier-1 workload, measures tiles/sec for
+both, and asserts the contract speedups: on VGG-16 the trace-planned
+fused path >= 9x over the core oracle, and on a multi-timestep trace one
+whole-trace plan >= 1.5x over one ``transform_trace([w])`` per workload
+(the per-matrix scope, without cross-workload dedup).
 
 Results land in ``benchmarks/results/`` (rendered table + JSON) and the
 machine-readable perf trajectory is *appended* to repo-root
@@ -39,13 +32,12 @@ import time
 import warnings
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import save_result
 from repro.analysis.report import format_ratio, format_table
 from repro.core.prosparsity import transform_matrix
 from repro.core.spike_matrix import SpikeMatrix
-from repro.engine import CompiledBackend, ProsperityEngine, ShardedBackend
+from repro.engine import ProsperityEngine
 from repro.snn.trace import GeMMWorkload, ModelTrace
 from repro.workloads import get_trace
 
@@ -56,20 +48,14 @@ TIER1_GRID = (
     ("spikformer", "cifar10"),
 )
 
-#: Contract minimum for the vectorized backend over reference on VGG-16.
-MIN_VGG16_SPEEDUP = 3.0
+#: Contract minimum for trace-planned fused over the core oracle on
+#: VGG-16: the product of the two 3x contracts it replaces (a bulk NumPy
+#: path >= 3x over the oracle, tile-batched fused >= 3x over that).
+MIN_VGG16_SPEEDUP = 9.0
 
-#: Contract minimum for the fused backend over vectorized on VGG-16.
-MIN_FUSED_SPEEDUP = 3.0
-
-#: Contract minimum for trace-planned fused over per-matrix fused on a
-#: multi-timestep trace (PR 3's contract).
+#: Contract minimum for one whole-trace plan over one per-workload plan
+#: per workload on a multi-timestep trace (the trace planner's contract).
 MIN_PLAN_SPEEDUP = 1.5
-
-#: Contract minimum for the Numba-compiled backend over fused on VGG-16
-#: (ISSUE 6's contract). Only asserted when the JIT is active; the
-#: NumPy fallback is, by construction, the fused path itself.
-MIN_COMPILED_SPEEDUP = 3.0
 
 #: Timesteps the multi-timestep planner benchmark unrolls.
 PLAN_TIME_STEPS = 8
@@ -259,14 +245,20 @@ def _previous_record() -> dict | None:
 
 #: Machine-normalized speedup fields the regression guard understands;
 #: an entry carries whichever normalization is honest for its row.
-SPEEDUP_FIELDS = ("speedup_vs_reference", "speedup_vs_fused")
+#: ``speedup_vs_fused`` only appears in records from before the
+#: per-matrix fused path was deleted; no new row carries it.
+SPEEDUP_FIELDS = (
+    "speedup_vs_reference",
+    "speedup_vs_fused",
+    "speedup_vs_per_workload",
+)
 
 
 def _check_regression(entries: list[dict]) -> None:
     """Benchmark regression guard against the last committed record.
 
-    Machine-normalized speedup regressions (``speedup_vs_reference`` /
-    ``speedup_vs_fused``, compared like for like) beyond
+    Machine-normalized speedup regressions (each of
+    :data:`SPEEDUP_FIELDS`, compared like for like) beyond
     ``HARD_REGRESSION`` fail; absolute tiles/sec drops beyond
     ``SOFT_REGRESSION`` only warn, because shared CI runners routinely
     differ that much machine to machine.
@@ -355,123 +347,67 @@ def _reference_records(trace) -> list[np.ndarray]:
     ]
 
 
-def _engine_run(backend, plan="matrix"):
-    """Fresh engine per repetition; ``backend`` may be a shared instance."""
-    def run(trace):
-        return ProsperityEngine(
-            backend=backend, tile_m=TILE_M, tile_k=TILE_K, plan=plan
-        ).run(trace, batch=8)
-
-    return run
+def _planned_run(trace):
+    """Whole-trace plan on a fresh engine (cold cache)."""
+    return ProsperityEngine(backend="fused", tile_m=TILE_M, tile_k=TILE_K).run(trace)
 
 
-def _check_records(report, reference_records, label):
-    assert len(report.runs) == len(reference_records)
-    for run, expected in zip(report.runs, reference_records):
-        assert np.array_equal(run.records, expected), (
-            f"{label}:{run.name} diverged from reference"
+def _per_workload_run(trace):
+    """One ``transform_trace([w])`` per workload on a fresh engine: the
+    per-matrix scope, with no cross-workload bucket or dedup."""
+    engine = ProsperityEngine(backend="fused", tile_m=TILE_M, tile_k=TILE_K)
+    return [engine.transform_trace([w])[0].tile_records for w in trace.workloads]
+
+
+def _check_records(records, reference_records, label):
+    assert len(records) == len(reference_records)
+    for index, (mine, expected) in enumerate(zip(records, reference_records)):
+        assert np.array_equal(mine, expected), (
+            f"{label}:workload {index} diverged from the core oracle"
         )
 
 
-@pytest.fixture(scope="module")
-def sharded_backend():
-    """Persistent two-worker pool shared by the equivalence smoke."""
-    backend = ShardedBackend(workers=2)
-    yield backend
-    backend.close()
-
-
-def test_engine_throughput(results_dir, request, sharded_backend):
+def test_engine_throughput(results_dir, request):
     quick = request.config.getoption("--quick")
     grid = TIER1_GRID[:1] if quick else TIER1_GRID
     repeats = 1 if quick else 3
 
-    # One warmed compiled backend for the whole grid: warmup (JIT
-    # compile / cache load) is a process-lifetime cost by design, so it
-    # is paid here once and excluded from the timed repetitions — that
-    # is exactly what the warmup() seam is for.
-    compiled_backend = CompiledBackend()
-    jit_active = compiled_backend.warmup()
-
     rows = []
-    payload = {
-        "quick": quick,
-        "tile_m": TILE_M,
-        "tile_k": TILE_K,
-        "compiled_jit_active": jit_active,
-    }
+    payload = {"quick": quick, "tile_m": TILE_M, "tile_k": TILE_K}
     trajectory = []
-    vec_speedups = {}
-    fused_speedups = {}
-    compiled_speedups = {}
-    # Fallback rows are honest but not comparable to JIT rows: key them
-    # separately in the trajectory so the regression guard never
-    # compares a NumPy fallback against a native-kernel baseline.
-    compiled_key = "compiled" if jit_active else "compiled[fallback]"
+    plan_speedups = {}
     for model, dataset in grid:
         trace = get_trace(model, dataset, preset="small")
         workload = f"{model}/{dataset}"
 
-        # Correctness first: every bulk backend's records must be
-        # bit-identical to the reference oracle on the whole trace.
+        # Correctness first: the trace-planned records must be
+        # bit-identical to the core oracle on the whole trace.
         reference_records = _reference_records(trace)
-        vectorized_run = _engine_run("vectorized")
-        fused_run = _engine_run("fused")
-        planned_run = _engine_run("fused", plan="trace")
-        sharded_run = _engine_run(sharded_backend)
-        compiled_run = _engine_run(compiled_backend)
-        report = vectorized_run(trace)
-        _check_records(report, reference_records, f"vectorized:{workload}")
-        fused_report = fused_run(trace)
-        _check_records(fused_report, reference_records, f"fused:{workload}")
-        planned_report = planned_run(trace)
-        _check_records(planned_report, reference_records, f"fused+plan:{workload}")
-        shard_report = sharded_run(trace)
-        _check_records(shard_report, reference_records, f"sharded:{workload}")
-        compiled_report = compiled_run(trace)
-        _check_records(compiled_report, reference_records, f"compiled:{workload}")
-        assert compiled_report.jit_active is jit_active
+        report = _planned_run(trace)
+        _check_records(
+            [run.records for run in report.runs], reference_records,
+            f"fused+plan:{workload}",
+        )
 
         ref_seconds = _best_of(lambda: _reference_records(trace), repeats)
-        vec_seconds = _best_of(lambda: vectorized_run(trace), repeats)
-        fused_seconds = _best_of(lambda: fused_run(trace), repeats)
-        plan_seconds = _best_of(lambda: planned_run(trace), repeats)
-        shard_seconds = _best_of(lambda: sharded_run(trace), repeats)
-        compiled_seconds = _best_of(lambda: compiled_run(trace), repeats)
+        plan_seconds = _best_of(lambda: _planned_run(trace), repeats)
         if (model, dataset) == ("vgg16", "cifar10") and (
-            ref_seconds / vec_seconds < MIN_VGG16_SPEEDUP
-            or vec_seconds / fused_seconds < MIN_FUSED_SPEEDUP
-            or (
-                jit_active
-                and fused_seconds / compiled_seconds < MIN_COMPILED_SPEEDUP
-            )
+            ref_seconds / plan_seconds < MIN_VGG16_SPEEDUP
         ):
-            # Guard the contract asserts against a noisy neighbor: one
+            # Guard the contract assert against a noisy neighbor: one
             # re-measure with more repetitions before declaring failure.
             ref_seconds = _best_of(lambda: _reference_records(trace), repeats + 2)
-            vec_seconds = _best_of(lambda: vectorized_run(trace), repeats + 2)
-            fused_seconds = _best_of(lambda: fused_run(trace), repeats + 2)
-            compiled_seconds = _best_of(lambda: compiled_run(trace), repeats + 2)
+            plan_seconds = _best_of(lambda: _planned_run(trace), repeats + 2)
         tiles = report.total_tiles
-        seconds = {
-            "reference": ref_seconds,
-            "vectorized": vec_seconds,
-            "fused": fused_seconds,
-            "fused+plan": plan_seconds,
-            "sharded[2]": shard_seconds,
-            compiled_key: compiled_seconds,
-        }
-        vec_speedups[(model, dataset)] = ref_seconds / vec_seconds
-        fused_speedups[(model, dataset)] = vec_seconds / fused_seconds
-        compiled_speedups[(model, dataset)] = fused_seconds / compiled_seconds
+        seconds = {"reference": ref_seconds, "fused+plan": plan_seconds}
+        plan_speedups[(model, dataset)] = ref_seconds / plan_seconds
         rows.append(
             [
                 workload,
                 tiles,
                 *(f"{tiles / s:,.0f}" for s in seconds.values()),
-                format_ratio(vec_speedups[(model, dataset)]),
-                format_ratio(fused_speedups[(model, dataset)]),
-                format_ratio(compiled_speedups[(model, dataset)]),
+                format_ratio(plan_speedups[(model, dataset)]),
+                format_ratio(report.dedup_ratio),
             ]
         )
         payload[workload] = {
@@ -480,39 +416,26 @@ def test_engine_throughput(results_dir, request, sharded_backend):
                 f"{name}_tiles_per_sec": tiles / s
                 for name, s in seconds.items()
             },
-            "vectorized_speedup_vs_reference": vec_speedups[(model, dataset)],
-            "fused_speedup_vs_vectorized": fused_speedups[(model, dataset)],
-            "compiled_speedup_vs_fused": compiled_speedups[(model, dataset)],
-            "plan_speedup_vs_fused": fused_seconds / plan_seconds,
-            "plan_dedup_ratio": planned_report.dedup_ratio,
+            "plan_speedup_vs_reference": plan_speedups[(model, dataset)],
+            "plan_dedup_ratio": report.dedup_ratio,
             "cache_hit_rate": report.cache_hit_rate,
-            "fused_profile": fused_report.profile,
-            "planned_profile": planned_report.profile,
-            "compiled_profile": compiled_report.profile,
+            "planned_profile": report.profile,
         }
         for name, s in seconds.items():
-            entry = {
-                "workload": workload,
-                "backend": name,
-                "tiles": int(tiles),
-                "tiles_per_sec": tiles / s,
-                "speedup_vs_reference": ref_seconds / s,
-            }
-            if name == compiled_key:
-                entry["speedup_vs_fused"] = fused_seconds / s
-            trajectory.append(entry)
+            trajectory.append(
+                {
+                    "workload": workload,
+                    "backend": name,
+                    "tiles": int(tiles),
+                    "tiles_per_sec": tiles / s,
+                    "speedup_vs_reference": ref_seconds / s,
+                }
+            )
 
     table = format_table(
-        [
-            "workload", "tiles", "ref t/s", "vec t/s", "fused t/s",
-            "plan t/s", "shard2 t/s", "comp t/s", "vec/ref", "fused/vec",
-            "comp/fused",
-        ],
+        ["workload", "tiles", "ref t/s", "plan t/s", "plan/ref", "dedup"],
         rows,
-        title=(
-            "engine throughput — backend comparison (tiles/sec, "
-            f"compiled jit={'on' if jit_active else 'off: NumPy fallback'})"
-        ),
+        title="engine throughput — trace-planned fused vs the core oracle (tiles/sec)",
     )
     save_result("engine_throughput", table)
     (results_dir / "engine_throughput.json").write_text(
@@ -521,76 +444,62 @@ def test_engine_throughput(results_dir, request, sharded_backend):
     _check_regression(trajectory)
     _append_trajectory(trajectory, quick)
 
-    assert vec_speedups[("vgg16", "cifar10")] >= MIN_VGG16_SPEEDUP, (
-        f"vectorized backend speedup {vec_speedups[('vgg16', 'cifar10')]:.2f}x "
+    assert plan_speedups[("vgg16", "cifar10")] >= MIN_VGG16_SPEEDUP, (
+        "trace-planned fused speedup "
+        f"{plan_speedups[('vgg16', 'cifar10')]:.2f}x over the core oracle, "
         f"below the {MIN_VGG16_SPEEDUP}x contract on VGG-16"
     )
-    assert fused_speedups[("vgg16", "cifar10")] >= MIN_FUSED_SPEEDUP, (
-        f"fused backend speedup {fused_speedups[('vgg16', 'cifar10')]:.2f}x over "
-        f"vectorized, below the {MIN_FUSED_SPEEDUP}x contract on VGG-16"
-    )
-    if jit_active:
-        assert compiled_speedups[("vgg16", "cifar10")] >= MIN_COMPILED_SPEEDUP, (
-            "compiled backend speedup "
-            f"{compiled_speedups[('vgg16', 'cifar10')]:.2f}x over fused, "
-            f"below the {MIN_COMPILED_SPEEDUP}x contract on VGG-16"
-        )
-    else:
-        warnings.warn(
-            "compiled backend ran as the NumPy fallback (jit_active=False): "
-            f"the {MIN_COMPILED_SPEEDUP}x contract is only asserted where "
-            "numba is installed and REPRO_NO_JIT is unset",
-            stacklevel=1,
-        )
 
 
 def test_trace_planner_speedup(results_dir, request):
-    """Trace-planned fused >= 1.5x over per-matrix fused on a
-    multi-timestep trace (this PR's contract).
+    """One whole-trace plan >= 1.5x over one per-workload plan per
+    workload on a multi-timestep trace.
 
     The trace unrolls LeNet-5 over ``PLAN_TIME_STEPS`` timesteps with
     distinct matrix copies: exactly the small-workload regime where
-    per-matrix batching underutilizes (every layer re-packs, re-dedups,
-    and launches its own underfilled kernels) and where the planner's
-    cross-workload buckets + global content dedup pay off. Numbers are
-    recorded into the ``BENCH_engine.json`` trajectory alongside the
-    single-trace grid, so the LeNet-vs-VGG throughput gap is chartable.
+    per-workload planning underutilizes (every layer re-packs, re-dedups,
+    and launches its own underfilled kernels) and where whole-trace
+    buckets + global content dedup pay off. Both sides run the same
+    fused engine configuration from a cold cache; only the plan scope
+    differs. Numbers are recorded into the ``BENCH_engine.json``
+    trajectory alongside the single-trace grid.
     """
     quick = request.config.getoption("--quick")
     repeats = 2 if quick else 4
     base = get_trace("lenet5", "mnist", preset="small")
     trace = _repeat_trace(base, PLAN_TIME_STEPS)
-    matrix_run = _engine_run("fused")
-    planned_run = _engine_run("fused", plan="trace")
 
-    # Bit-identity first: planner records equal per-matrix fused records
-    # on the unrolled trace, workload for workload.
-    matrix_report = matrix_run(trace)
-    planned_report = planned_run(trace)
-    for mine, theirs in zip(planned_report.runs, matrix_report.runs):
-        assert np.array_equal(mine.records, theirs.records), mine.name
+    # Bit-identity first: both scopes equal the core oracle on the
+    # unrolled trace, workload for workload.
+    reference_records = _reference_records(trace)
+    planned_report = _planned_run(trace)
+    _check_records(
+        [run.records for run in planned_report.runs], reference_records,
+        "fused+plan",
+    )
+    _check_records(_per_workload_run(trace), reference_records, "per-workload")
     assert planned_report.dedup_ratio >= PLAN_TIME_STEPS * 0.9, (
         "unrolled timesteps should dedup to ~one copy, got "
         f"{planned_report.dedup_ratio:.2f}x"
     )
 
-    matrix_seconds = _best_of(lambda: matrix_run(trace), repeats)
-    plan_seconds = _best_of(lambda: planned_run(trace), repeats)
-    if matrix_seconds / plan_seconds < MIN_PLAN_SPEEDUP:
-        # Noisy-neighbor guard, as for the VGG-16 contracts.
-        matrix_seconds = _best_of(lambda: matrix_run(trace), repeats + 3)
-        plan_seconds = _best_of(lambda: planned_run(trace), repeats + 3)
-    speedup = matrix_seconds / plan_seconds
-    tiles = matrix_report.total_tiles
+    workload_seconds = _best_of(lambda: _per_workload_run(trace), repeats)
+    plan_seconds = _best_of(lambda: _planned_run(trace), repeats)
+    if workload_seconds / plan_seconds < MIN_PLAN_SPEEDUP:
+        # Noisy-neighbor guard, as for the VGG-16 contract.
+        workload_seconds = _best_of(lambda: _per_workload_run(trace), repeats + 3)
+        plan_seconds = _best_of(lambda: _planned_run(trace), repeats + 3)
+    speedup = workload_seconds / plan_seconds
+    tiles = planned_report.total_tiles
     workload = f"{trace.model}/{trace.dataset}"
 
     payload = {
         "workload": workload,
         "time_steps": PLAN_TIME_STEPS,
         "tiles": int(tiles),
-        "fused_tiles_per_sec": tiles / matrix_seconds,
+        "per_workload_tiles_per_sec": tiles / workload_seconds,
         "plan_tiles_per_sec": tiles / plan_seconds,
-        "plan_speedup_vs_fused": speedup,
+        "plan_speedup_vs_per_workload": speedup,
         "dedup_ratio": planned_report.dedup_ratio,
         "planned_profile": planned_report.profile,
     }
@@ -600,11 +509,11 @@ def test_trace_planner_speedup(results_dir, request):
     save_result(
         "engine_planner",
         format_table(
-            ["workload", "tiles", "fused t/s", "plan t/s", "plan/fused", "dedup"],
+            ["workload", "tiles", "per-workload t/s", "plan t/s", "plan/wl", "dedup"],
             [[
                 workload,
                 tiles,
-                f"{tiles / matrix_seconds:,.0f}",
+                f"{tiles / workload_seconds:,.0f}",
                 f"{tiles / plan_seconds:,.0f}",
                 format_ratio(speedup),
                 format_ratio(planned_report.dedup_ratio),
@@ -615,48 +524,32 @@ def test_trace_planner_speedup(results_dir, request):
             ),
         ),
     )
-    # The reference backend is never timed on the unrolled trace, so
-    # these rows are normalized against per-matrix fused instead — a
+    # The reference oracle is never timed on the unrolled trace, so the
+    # whole-trace row is normalized against the per-workload scope — a
     # distinct field, so charts and the guard never mix normalizations.
+    # The guard compares it with earlier ``fused+plan`` rows only; the
+    # per-workload row has its own key, never the old per-matrix
+    # ``fused`` rows.
     _append_trajectory(
         [
             {
                 "workload": workload,
-                "backend": "fused",
+                "backend": "fused+plan[per-workload]",
                 "tiles": int(tiles),
-                "tiles_per_sec": tiles / matrix_seconds,
+                "tiles_per_sec": tiles / workload_seconds,
             },
             {
                 "workload": workload,
                 "backend": "fused+plan",
                 "tiles": int(tiles),
                 "tiles_per_sec": tiles / plan_seconds,
-                "speedup_vs_fused": speedup,
+                "speedup_vs_per_workload": speedup,
             },
         ],
         quick,
     )
 
     assert speedup >= MIN_PLAN_SPEEDUP, (
-        f"trace planner speedup {speedup:.2f}x over per-matrix fused on "
+        f"whole-trace plan speedup {speedup:.2f}x over per-workload plans on "
         f"{workload}, below the {MIN_PLAN_SPEEDUP}x contract"
     )
-
-
-def test_sharded_worker_sweep_equivalence(request, sharded_backend):
-    """Workers in {1, 2, 4} produce bit-identical VGG-16 tile records."""
-    trace = get_trace("vgg16", "cifar10", preset="small")
-    reference_records = _reference_records(trace)
-    quick = request.config.getoption("--quick")
-    worker_counts = (2,) if quick else (1, 2, 4)
-    for workers in worker_counts:
-        backend = (
-            sharded_backend if workers == 2 else ShardedBackend(workers=workers)
-        )
-        try:
-            report = _engine_run(backend)(trace)
-            _check_records(report, reference_records, f"sharded[{workers}]")
-            assert report.workers == workers
-        finally:
-            if backend is not sharded_backend:
-                backend.close()

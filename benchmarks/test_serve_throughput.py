@@ -51,7 +51,6 @@ def _serving_config() -> RunConfig:
         "workload.model": "lenet5",
         "workload.dataset": "mnist",
         "engine.backend": "fused",
-        "engine.plan": "trace",
         # Wide enough that one wave of concurrent requests lands in one
         # window, small enough that the window itself stays off the
         # measured throughput.

@@ -66,7 +66,7 @@ def _store_run(trace, store_path):
         backend="fused", tile_m=TILE_M, tile_k=TILE_K, store=store
     )
     started = time.perf_counter()
-    report = engine.run(trace, batch=8)
+    report = engine.run(trace)
     run_seconds = time.perf_counter() - started
     store.close()
     total_seconds = time.perf_counter() - started
@@ -103,7 +103,7 @@ def test_store_throughput(results_dir, request):
     def off_run(trace):
         return ProsperityEngine(
             backend="fused", tile_m=TILE_M, tile_k=TILE_K
-        ).run(trace, batch=8)
+        ).run(trace)
 
     check(off_run(trace), "store-off")
     off_seconds = _best_of(lambda: off_run(trace), repeats)

@@ -44,7 +44,6 @@ def _stream_config(model: str, dataset: str) -> RunConfig:
         "workload.model": model,
         "workload.dataset": dataset,
         "engine.backend": "fused",
-        "engine.plan": "trace",
         "streaming.window": WINDOW,
     })
 

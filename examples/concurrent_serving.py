@@ -31,7 +31,6 @@ def make_requests() -> list[RunConfig]:
     base = RunConfig().with_overrides({
         "workload.dataset": "mnist",
         "engine.backend": "fused",
-        "engine.plan": "trace",
         "scheduler.coalesce_window_ms": 20.0,
     })
     lenet = base.with_overrides({"workload.model": "lenet5"})

@@ -37,7 +37,6 @@ def make_config() -> RunConfig:
         "workload.model": "lenet5",
         "workload.dataset": "mnist",
         "engine.backend": "fused",
-        "engine.plan": "trace",
         # One coalesce window catches all concurrent clients below.
         "scheduler.coalesce_window_ms": 200.0,
     })

@@ -24,7 +24,6 @@ def main() -> None:
         "workload.model": "lenet5",
         "workload.dataset": "mnist",
         "engine.backend": "fused",
-        "engine.plan": "trace",
     })
 
     # 2. Execute: the Session owns backend/engine lifecycle and exposes

@@ -18,7 +18,6 @@ from repro.api import RunConfig, Session
 def main() -> None:
     base = RunConfig().with_overrides({
         "engine.backend": "fused",
-        "engine.plan": "trace",
         "sampling.max_tiles": 16,
         "simulator.baselines": ("a100", "ptb"),
     })

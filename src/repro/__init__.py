@@ -6,15 +6,15 @@ Layered public API:
 * :mod:`repro.api` — **the canonical entry point**: the typed
   :class:`~repro.api.RunConfig` (TOML/JSON round-trip, ``with_overrides``
   sweeps) and the :class:`~repro.api.Session` facade over engine,
-  simulator, and analysis with shared backend/pool lifecycle.
+  simulator, and analysis with shared backend/engine lifecycle.
 * :mod:`repro.core` — Product Sparsity: relations, forest, dispatch, and
   the lossless ProSparsity spiking GeMM.
 * :mod:`repro.snn` — NumPy SNN substrate (LIF/FS neurons, conv/linear/
   attention layers, the paper's model zoo, workload tracing).
 * :mod:`repro.arch` — the Prosperity accelerator simulator (PPU pipeline,
   memory system, 28 nm area/energy models).
-* :mod:`repro.engine` — batched, backend-pluggable execution engine
-  (reference / vectorized backends, content-hash forest cache).
+* :mod:`repro.engine` — trace-planned execution engine (the ``fused``
+  fast path and the ``reference`` oracle, content-hash forest cache).
 * :mod:`repro.baselines` — Eyeriss, PTB, SATO, MINT, Stellar, LoAS, A100.
 * :mod:`repro.analysis` — density studies, tiling DSE, cost trade-off.
 * :mod:`repro.workloads` — the cached model x dataset evaluation grid.

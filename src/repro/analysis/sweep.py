@@ -13,7 +13,6 @@ from repro.arch.simulator import ProsperitySimulator
 from repro.analysis.density import trace_prosparsity_stats
 from repro.engine.backends import DEFAULT_BACKEND
 from repro.engine.pipeline import ProsperityEngine
-from repro.engine.planner import DEFAULT_PLAN
 from repro.snn.trace import ModelTrace
 
 
@@ -37,18 +36,17 @@ def _latency_ratio(
     max_tiles: int | None,
     rng: np.random.Generator,
     backend=DEFAULT_BACKEND,
-    plan: str = DEFAULT_PLAN,
 ) -> float:
     """Prosperity-vs-bit-sparsity latency on the same hardware.
 
     ``backend`` may be a shared instance so the whole sweep reuses one
-    transform backend (and, for ``sharded``, one process pool); the two
-    simulators share one engine per configuration for the same reason.
+    transform backend; the two simulators share one engine per
+    configuration for the same reason.
     """
     pro_cycles = 0.0
     bit_cycles = 0.0
     engine = ProsperityEngine(
-        backend=backend, tile_m=config.tile_m, tile_k=config.tile_k, plan=plan
+        backend=backend, tile_m=config.tile_m, tile_k=config.tile_k
     )
     for trace in traces:
         pro = ProsperitySimulator(
@@ -72,35 +70,28 @@ def sweep_tile_sizes(
     max_tiles: int | None = 24,
     rng: np.random.Generator | None = None,
     backend: str = DEFAULT_BACKEND,
-    workers: int | None = None,
-    plan: str = DEFAULT_PLAN,
 ) -> tuple[list[SweepPoint], list[SweepPoint]]:
     """Fig. 7's two sweeps: vary m at fixed k, and k at fixed m.
 
     .. note:: Calling this directly remains supported, but
        :meth:`repro.api.Session.sweep` is the canonical entry point: it
        feeds this function from a typed :class:`~repro.api.RunConfig`
-       and shares the session's backend (and sharded pool).
+       and shares the session's backend.
 
     Returns ``(m_sweep, k_sweep)``. Density always falls with larger m
     (larger prefix search scope) while a middle k is optimal; area/power
     grow super-linearly with m. ``backend`` selects the transform
     implementation (results are backend-independent; the default
-    ``fused`` backend is the fast path, ``reference`` the oracle);
-    ``workers`` forwards a process count to the ``sharded`` backend;
-    ``plan="trace"`` (the default) routes each configuration's transforms
-    through the trace-level planner (identical sweep points,
-    cross-workload batching). Backends
-    constructed here (by name) are closed before returning, so repeated
-    sweeps never leak worker pools.
+    ``fused`` backend is the fast path, ``reference`` the oracle).
+    Backends constructed here (by name) are closed before returning;
+    caller-supplied instances stay open.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     base = base_config if base_config is not None else ProsperityConfig()
     base_area = area_model(base).total
-    engine = ProsperityEngine(backend=backend, workers=workers, plan=plan)
+    engine = ProsperityEngine(backend=backend)
     # One backend instance for the whole sweep: every per-config engine
-    # below reuses it (for `sharded`, that means one process pool).
-    # engine.close() below releases it only if it was built from a name
+    # below reuses it. engine.close() below releases it only if it was built from a name
     # here — caller-supplied instances stay open for their other users.
     shared_backend = engine.backend
 
@@ -127,7 +118,7 @@ def sweep_tile_sizes(
             product_density=stats_total.product_density,
             bit_density=stats_total.bit_density,
             latency_vs_bit=_latency_ratio(
-                traces, config, max_tiles, rng, shared_backend, plan
+                traces, config, max_tiles, rng, shared_backend
             ),
             area_mm2=area,
             relative_area=area / base_area,

@@ -35,7 +35,7 @@ The lower-level entry points (``ProsperityEngine``,
 ``ProsperitySimulator``, ``sweep_tile_sizes``) remain supported, but new
 code — and the ``repro`` CLI — should go through ``Session`` (or, for
 many concurrent jobs, ``Scheduler``) so configuration stays in one
-typed object and pooled resources are shared.
+typed object and engine resources are shared.
 """
 
 from repro.api.aio import AsyncSession

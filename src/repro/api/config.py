@@ -9,8 +9,8 @@ Sec. VII-G trade-off input (``tradeoff``), and the concurrent-serving
 knobs (``scheduler``: queue depth, coalescing window, stream
 chunking). Every section is a frozen
 dataclass, validated eagerly on construction with the same error wording
-the execution layers raise (e.g. ``workers`` on a backend that cannot
-take it reuses :func:`repro.engine.backends.backend_option_error`).
+the execution layers raise (e.g. an unknown backend reuses
+:func:`repro.engine.backends.unknown_backend_error`).
 
 Configs round-trip through TOML and JSON (``from_file``/``to_file``,
 ``from_dict``/``to_dict``) and support two immutable update idioms:
@@ -18,7 +18,7 @@ Configs round-trip through TOML and JSON (``from_file``/``to_file``,
 * :meth:`RunConfig.with_overrides` — dotted-key overrides with native
   values, the sweep-loop workhorse::
 
-      for backend in ("vectorized", "fused"):
+      for backend in ("reference", "fused"):
           cfg = base.with_overrides({"engine.backend": backend})
 
 * :meth:`RunConfig.with_sets` — ``"section.key=value"`` strings as the
@@ -29,7 +29,6 @@ Configs round-trip through TOML and JSON (``from_file``/``to_file``,
 from __future__ import annotations
 
 import json
-import types
 import typing
 
 try:  # stdlib on 3.11+; the tomli backport covers 3.10
@@ -52,13 +51,9 @@ from repro.core.prosparsity import (
 from repro.engine.backends import (
     DEFAULT_BACKEND,
     available_backends,
-    backend_accepts_option,
-    backend_option_error,
     unknown_backend_error,
-    validate_workers,
 )
 from repro.engine.faults import FaultPlan
-from repro.engine.planner import DEFAULT_PLAN, validate_plan_mode
 from repro.engine.store import VERIFY_POLICIES
 from repro.workloads import PRESETS
 
@@ -77,7 +72,6 @@ __all__ = [
     "SweepConfig",
     "TradeoffConfig",
     "WorkloadConfig",
-    "engine_backend_options",
 ]
 
 
@@ -93,12 +87,9 @@ class WorkloadConfig:
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """How the ProSparsity engine executes: backend, plan, batching."""
+    """How the ProSparsity engine executes: backend, cache, tile shape."""
 
     backend: str = DEFAULT_BACKEND
-    workers: int | None = None
-    plan: str = DEFAULT_PLAN
-    batch: int = 8
     cache_size: int = 4096
     tile_m: int = DEFAULT_TILE_M
     tile_k: int = DEFAULT_TILE_K
@@ -210,10 +201,8 @@ class ResilienceConfig:
     job may wait in the queue before dispatch; expired jobs fail with
     ``DeadlineExceeded`` instead of running late. ``retries`` /
     ``retry_backoff_ms`` bound re-dispatch of *transient* failures
-    (broken worker pools, injected ``engine_error`` faults); poisoned
-    jobs are never retried, only isolated. ``max_pool_rebuilds`` /
-    ``degrade_on_pool_failure`` are the ``sharded`` backend's
-    supervision budget (see ``ShardedBackend``). ``faults`` is a fault
+    (injected ``engine_error`` faults); poisoned jobs are never retried,
+    only isolated. ``faults`` is a fault
     plan spec for the deterministic injection harness
     (:mod:`repro.engine.faults`) — empty (the default) keeps every
     failure point inert.
@@ -224,8 +213,6 @@ class ResilienceConfig:
     deadline_ms: float = 0.0
     retries: int = 1
     retry_backoff_ms: float = 10.0
-    max_pool_rebuilds: int = 2
-    degrade_on_pool_failure: bool = True
     faults: str = ""
 
 
@@ -300,13 +287,7 @@ _SECTIONS: dict[str, type] = {
 
 def _coerce(text: str, hint) -> object:
     """Coerce a ``--set`` value string to the target field's annotation."""
-    origin = typing.get_origin(hint)
-    if origin in (typing.Union, types.UnionType):  # e.g. int | None
-        args = [a for a in typing.get_args(hint) if a is not type(None)]
-        if text.lower() in ("none", "null"):
-            return None
-        return _coerce(text, args[0])
-    if origin is tuple:
+    if typing.get_origin(hint) is tuple:
         items = [part for part in text.replace("[", "").replace("]", "").split(",")
                  if part.strip()]
         element = (typing.get_args(hint) or (str,))[0]
@@ -342,25 +323,6 @@ def _section_from_dict(name: str, cls: type, data: dict):
     return cls(**values)
 
 
-def engine_backend_options(config: "RunConfig") -> dict:
-    """Backend constructor options implied by the ``[resilience]`` section.
-
-    Only options the configured backend actually accepts are returned
-    (the ``sharded`` backend takes ``max_rebuilds``/``degrade``; others
-    take none), so the result is always safe to splat into
-    :func:`~repro.engine.backends.get_backend` or
-    ``ProsperityEngine(backend_options=...)``.
-    """
-    options = {}
-    for option, value in (
-        ("max_rebuilds", config.resilience.max_pool_rebuilds),
-        ("degrade", config.resilience.degrade_on_pool_failure),
-    ):
-        if backend_accepts_option(config.engine.backend, option):
-            options[option] = value
-    return options
-
-
 def _toml_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -380,9 +342,8 @@ class RunConfig:
 
     Frozen: every update goes through :meth:`with_overrides` /
     :meth:`with_sets`, which return new instances. Validation runs on
-    construction, so an invalid combination (unknown backend, ``workers``
-    on a backend that cannot take it, bad plan mode, malformed tile
-    shape) fails at config time with the exact error the execution layer
+    construction, so an invalid combination (unknown backend, malformed
+    tile shape) fails at config time with the exact error the execution layer
     would raise — never halfway into a run.
     """
 
@@ -411,13 +372,6 @@ class RunConfig:
             )
         if engine.backend not in available_backends():
             raise unknown_backend_error(engine.backend)
-        if engine.workers is not None:
-            validate_workers(engine.workers)
-            if not backend_accepts_option(engine.backend, "workers"):
-                raise backend_option_error(engine.backend, {"workers"})
-        validate_plan_mode(engine.plan)
-        if engine.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {engine.batch}")
         if engine.cache_size < 0:
             raise ValueError(
                 f"cache_size must be >= 0, got {engine.cache_size}"
@@ -480,10 +434,6 @@ class RunConfig:
                 raise ValueError(f"{name} must be >= 0, got {value}")
         if resilience.retries < 0:
             raise ValueError(f"retries must be >= 0, got {resilience.retries}")
-        if resilience.max_pool_rebuilds < 0:
-            raise ValueError(
-                f"max_pool_rebuilds must be >= 0, got {resilience.max_pool_rebuilds}"
-            )
         # Same eager-validation contract as the engine fields: a bad
         # fault spec fails at config time with the harness's own error.
         FaultPlan.parse(resilience.faults)
@@ -584,20 +534,13 @@ class RunConfig:
 
     # -- dict / file round-trip ----------------------------------------
     def to_dict(self) -> dict:
-        """Nested plain-type dict (tuples become lists, ``None`` dropped).
-
-        Dropping ``None`` keeps the dict TOML-representable; absent keys
-        read back as their defaults, which is exactly ``None``'s meaning
-        here — the round-trip is lossless.
-        """
+        """Nested plain-type dict (tuples become lists)."""
         out: dict[str, dict] = {}
         for name in _SECTIONS:
             section = getattr(self, name)
             entries = {}
             for f in fields(section):
                 value = getattr(section, f.name)
-                if value is None:
-                    continue
                 if isinstance(value, tuple):
                     value = list(value)
                 entries[f.name] = value
@@ -670,8 +613,8 @@ class RunConfig:
 
         ``overrides`` maps ``"section.key"`` to a native value::
 
-            cfg.with_overrides({"engine.backend": "sharded",
-                                "engine.workers": 4})
+            cfg.with_overrides({"engine.backend": "reference",
+                                "engine.cache_size": 0})
 
         Section keyword arguments replace fields of one section at once::
 

@@ -4,8 +4,7 @@ PR 4 left :meth:`Session.submit` as a one-worker queue seam; this module
 widens it into a serving API. A :class:`Scheduler` accepts many
 concurrent typed job submissions (:class:`Job` in, :class:`JobHandle`
 out), groups compatible engine jobs by their engine signature —
-``(backend, workers, tile shape, plan, cache size, [cache] section)``
-— and coalesces
+``(backend, tile shape, cache size, [cache] section)`` — and coalesces
 each group into **one** :class:`~repro.engine.planner.TracePlanner`
 bucket batch: every client's tiles land in the same shape buckets, one
 global content dedup runs per bucket across *all* requests, and one
@@ -27,16 +26,15 @@ Mechanics:
 * **Per-job scatter-back.** The planner already scatters records per
   workload; the scheduler slices those per job and builds each job its
   own :class:`~repro.engine.EngineReport` — records are bit-identical
-  to running that job alone, for every backend and worker count,
-  because bucket composition cannot change per-tile records (pinned by
+  to running that job alone, for every backend, because bucket
+  composition cannot change per-tile records (pinned by
   the planner's equivalence tests). Batch-scoped numbers (profile,
   cache traffic, ``planned_tiles``/``unique_tiles``) are attached to
   every report of the batch.
-* **Shared resources.** One engine (forest cache, arena, and — for
-  ``sharded`` — process pool) per engine signature, reused across every
-  coalesced batch and every :class:`~repro.api.Session` the scheduler
-  spawns for non-engine jobs. ``pools_spawned`` stays at one per
-  signature no matter how many jobs run.
+* **Shared resources.** One engine (forest cache, arena, persistent
+  store) per engine signature, reused across every coalesced batch and
+  every :class:`~repro.api.Session` the scheduler spawns for non-engine
+  jobs.
 * **Cancellation + streaming.** Queued jobs can be cancelled until the
   dispatcher claims them; streaming jobs receive
   :class:`~repro.api.session.RunChunk` objects as the planner completes
@@ -55,10 +53,9 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from repro.api.config import RunConfig, engine_backend_options
+from repro.api.config import RunConfig
 from repro.api.session import (
     EngineRunResult,
     RunChunk,
@@ -68,9 +65,8 @@ from repro.api.session import (
 )
 from repro.engine import EngineReport, ProsperityEngine, WorkloadRun
 from repro.engine import faults
-from repro.engine.parallel import PoolBrokenError
-from repro.engine.pipeline import stats_from_records
-from repro.engine.planner import PLANNED_PROFILE_STAGES
+from repro.engine.pipeline import fold_kernel_profile, stats_from_records
+from repro.engine.planner import PROFILE_STAGES
 from repro.engine.store import open_store
 from repro.workloads import get_trace
 
@@ -100,7 +96,7 @@ class DeadlineExceeded(TimeoutError):
     """A job's ``deadline_ms`` expired before the dispatcher claimed it.
 
     Deadlines bound *queue* latency: once a job starts executing it runs
-    to completion (process-pool kernels are not interruptible), so the
+    to completion (kernels are not interruptible), so the
     check happens at claim time and an expired job never runs at all.
     """
 
@@ -150,7 +146,7 @@ _DONE = object()
 
 def _engine_key(config: RunConfig) -> tuple:
     """Engine-compatibility signature: jobs sharing it share one engine
-    (cache, arena, sharded pool, persistent store) and may coalesce
+    (cache, arena, persistent store) and may coalesce
     into one batch.  The ``[cache]`` section is part of the signature:
     jobs with different store configurations must not silently share a
     store-backed engine."""
@@ -158,10 +154,8 @@ def _engine_key(config: RunConfig) -> tuple:
     cache = config.cache
     return (
         engine.backend,
-        engine.workers,
         engine.tile_m,
         engine.tile_k,
-        engine.plan,
         engine.cache_size,
         cache.enabled,
         cache.path,
@@ -228,7 +222,7 @@ class JobHandle:
     ``future`` resolves to the same :class:`~repro.api.session.RunResult`
     subclass the direct ``Session`` call returns. While the job is still
     queued, :meth:`cancel` withdraws it; once the dispatcher claims it,
-    cancellation fails (process-pool kernels are not interruptible).
+    cancellation fails (kernels are not interruptible).
     Streaming run jobs additionally deliver
     :class:`~repro.api.session.RunChunk` objects through
     :meth:`chunks` / :meth:`next_chunk` as workloads complete.
@@ -372,9 +366,8 @@ class Scheduler:
         dispatches immediately (no cross-request batching unless jobs
         were enqueued together via :meth:`submit_many`).
 
-    One dispatcher thread executes all work, so every engine (and any
-    sharded process pool) is driven from a single thread — the safe
-    default for process-pool backends. Execution resources live as long
+    One dispatcher thread executes all work, so every engine is driven
+    from a single thread. Execution resources live as long
     as the scheduler: one engine per distinct engine signature, one
     :class:`~repro.api.Session` per distinct job config (sharing that
     engine), all released by :meth:`close`.
@@ -493,29 +486,14 @@ class Scheduler:
         self._stores.clear()
 
     @property
-    def pools_spawned(self) -> int:
-        """Total process pools spawned across all scheduler engines."""
-        return sum(
-            getattr(engine.backend, "pools_spawned", 0)
-            for engine in self._engines.values()
-        )
-
-    @property
     def stats(self) -> dict:
         """Serving + resilience counters as one snapshot dict.
 
-        Backend supervision numbers (``pool_rebuilds``, ``degraded``)
-        aggregate over the scheduler's live engines, so read them before
-        :meth:`close` releases the engines.
+        Persistent-store traffic aggregates over the scheduler's live
+        engines, so read it before :meth:`close` releases the engines.
         """
         with self._cv:
             engines = list(self._engines.values())
-        pool_rebuilds = 0
-        degraded = False
-        for engine in engines:
-            counters = engine.backend.failure_counters()
-            pool_rebuilds += counters.get("pool_rebuilds", 0)
-            degraded = degraded or bool(counters.get("degraded"))
         # Persistent-store traffic aggregates over distinct stores (two
         # engines never share one today, but dedupe by identity anyway).
         store_totals = {
@@ -543,9 +521,6 @@ class Scheduler:
             "jobs_retried": self.jobs_retried,
             "jobs_expired": self.jobs_expired,
             "isolation_reruns": self.isolation_reruns,
-            "pool_rebuilds": pool_rebuilds,
-            "pools_spawned": self.pools_spawned,
-            "degraded": degraded,
             **store_totals,
         }
 
@@ -553,7 +528,7 @@ class Scheduler:
         """Share an externally-owned engine for ``config``'s signature.
 
         Jobs whose engine signature matches then run through ``engine``
-        (its cache, arena, and pool) instead of a scheduler-constructed
+        (its cache and arena) instead of a scheduler-constructed
         one; :meth:`close` leaves it open for its owner. ``Session``
         uses this so ``session.submit()`` reuses the session's engine.
         """
@@ -861,14 +836,10 @@ class Scheduler:
 
     @staticmethod
     def _transient(exc: BaseException) -> bool:
-        """Failures worth re-dispatching: the retry may see a healthy
-        pool (or a burned-out injected fault). Poisoned jobs and spent
-        rebuild budgets are persistent — retrying cannot help."""
-        if isinstance(exc, PoolBrokenError):
-            return False
-        return isinstance(exc, BrokenProcessPool) or bool(
-            getattr(exc, "transient", False)
-        )
+        """Failures worth re-dispatching: the retry may see a burned-out
+        injected fault. Poisoned jobs are persistent — retrying cannot
+        help."""
+        return bool(getattr(exc, "transient", False))
 
     def _engine_for(self, config: RunConfig) -> ProsperityEngine:
         key = _engine_key(config)
@@ -882,9 +853,6 @@ class Scheduler:
                     tile_m=engine_cfg.tile_m,
                     tile_k=engine_cfg.tile_k,
                     cache_size=engine_cfg.cache_size,
-                    workers=engine_cfg.workers,
-                    plan=engine_cfg.plan,
-                    backend_options=engine_backend_options(config),
                     store=store,
                 )
                 self._engines[key] = engine
@@ -903,8 +871,8 @@ class Scheduler:
 
     def _run_single(self, handle: JobHandle) -> None:
         """Execute one job exactly as its own Session call would, with
-        bounded retry for transient failures (broken pools, injected
-        ``engine_error`` faults)."""
+        bounded retry for transient failures (injected ``engine_error``
+        faults)."""
         retries = handle.config.resilience.retries
         backoff = handle.config.resilience.retry_backoff_ms / 1000.0
         for attempt in range(retries + 1):
@@ -958,7 +926,7 @@ class Scheduler:
 
         Every job's workloads enter one trace plan: shared shape
         buckets, one global content dedup, one kernel launch per bucket
-        through the (possibly sharded) backend, then per-job
+        through the backend, then per-job
         scatter-back into individual :class:`EngineReport` objects.
         Batch-scoped numbers (profile, cache traffic, planned/unique
         tile counts) are attached to every job's report.
@@ -1006,13 +974,12 @@ class Scheduler:
     def _try_batch(self, jobs: list[tuple]) -> BaseException | None:
         """Run ``jobs`` as one coalesced planner batch with bounded retry.
 
-        Transient failures (a worker pool that broke and was rebuilt, an
-        injected ``engine_error``) re-dispatch the batch up to the
-        scheduler config's ``resilience.retries`` times — a retry is
-        safe because shard inputs are pure functions of the traces, so
-        results stay bit-identical. Returns ``None`` once every job's
-        future is resolved, or the final exception (unresolved futures
-        are then the caller's to fail or isolate).
+        Transient failures (an injected ``engine_error``) re-dispatch the
+        batch up to the scheduler config's ``resilience.retries`` times —
+        a retry is safe because kernel inputs are pure functions of the
+        traces, so results stay bit-identical. Returns ``None`` once
+        every job's future is resolved, or the final exception
+        (unresolved futures are then the caller's to fail or isolate).
         """
         retries = self.resilience.retries
         backoff = self.resilience.retry_backoff_ms / 1000.0
@@ -1098,8 +1065,7 @@ class Scheduler:
         store = engine.store
         store0 = store.counters() if store is not None else {}
         profile0 = dict(getattr(engine.backend, "profile", None) or {})
-        counters0 = engine.backend.failure_counters()
-        profile = {stage: 0.0 for stage in PLANNED_PROFILE_STAGES}
+        profile = {stage: 0.0 for stage in PROFILE_STAGES}
         started = time.perf_counter()
         assemblers = [
             _ChunkAssembler(handle, started) if handle.streaming else None
@@ -1140,24 +1106,13 @@ class Scheduler:
                 on_workload=on_workload if streaming else None,
             )
         elapsed = time.perf_counter() - started
-        backend_profile = getattr(engine.backend, "profile", None)
-        if backend_profile:
-            for stage, seconds in backend_profile.items():
-                profile[stage] = (
-                    profile.get(stage, 0.0) + seconds - profile0.get(stage, 0.0)
-                )
+        fold_kernel_profile(profile, engine.backend, profile0)
         cache_hits = (cache.hits - hits0) if cache else 0
         cache_misses = (cache.misses - misses0) if cache else 0
         store1 = store.counters() if store is not None else {}
         store_delta = {
             name: store1.get(name, 0) - store0.get(name, 0) for name in store1
         }
-        counters1 = engine.backend.failure_counters()
-        pool_rebuilds = counters1.get("pool_rebuilds", 0) - counters0.get(
-            "pool_rebuilds", 0
-        )
-        backend_retries = counters1.get("retries", 0) - counters0.get("retries", 0)
-        degraded = counters1.get("degraded") if counters1 else None
         total = plan.total_tiles
         # Book the batch before delivering results: a client that
         # wakes on its future must already see the serving counters.
@@ -1173,11 +1128,8 @@ class Scheduler:
                 backend=engine.backend.name,
                 tile_m=engine.tile_m,
                 tile_k=engine.tile_k,
-                batch=handle.config.engine.batch,
                 model=trace.model,
                 dataset=trace.dataset,
-                workers=getattr(engine.backend, "workers", None),
-                plan="trace",  # coalesced batches are always trace-planned
                 planned_tiles=plan.total_tiles,
                 unique_tiles=plan.unique_tiles,
                 cache_hits=cache_hits,
@@ -1189,11 +1141,6 @@ class Scheduler:
                 store_evictions=store_delta.get("store_evictions", 0),
                 store_active=store.enabled if store is not None else None,
                 profile=dict(profile),
-                jit_active=getattr(engine.backend, "jit_active", None),
-                # Batch-scoped supervision deltas, like profile/cache.
-                pool_rebuilds=pool_rebuilds,
-                retries=backend_retries,
-                degraded=degraded,
             )
             job_tiles = 0
             for workload, records in zip(workloads, job_records):

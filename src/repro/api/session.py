@@ -1,13 +1,13 @@
 """The Session facade: one object that owns configuration and lifecycle.
 
 A :class:`Session` binds a :class:`~repro.api.config.RunConfig` to live
-execution resources — one transform backend (and, for ``sharded``, one
-process pool), one :class:`~repro.engine.ProsperityEngine` with its
-forest cache — and exposes every experiment the CLI offers as a method:
+execution resources — one transform backend, one
+:class:`~repro.engine.ProsperityEngine` with its forest cache and
+planner arena — and exposes every experiment the CLI offers as a method:
 :meth:`run`, :meth:`simulate`, :meth:`sweep`, :meth:`density`,
 :meth:`scaling`, :meth:`tradeoff`. All calls share the same backend and
-engine, so a sharded pool is spawned at most once per session no matter
-how many experiments run through it.
+engine, so the cache warms once per session no matter how many
+experiments run through it.
 
 Results come back as structured :class:`RunResult` subclasses carrying
 the config that produced them, the wall-clock, and the layer reports
@@ -50,7 +50,7 @@ import numpy as np
 from repro.analysis.density import DensityReport, density_report
 from repro.analysis.sweep import SweepPoint, sweep_tile_sizes
 from repro.analysis.tradeoff import TradeoffResult, evaluate_tradeoff
-from repro.api.config import RunConfig, engine_backend_options
+from repro.api.config import RunConfig
 from repro.arch.config import DEFAULT_CONFIG
 from repro.arch.report import SimReport
 from repro.arch.scaling import ScalingPoint, scaling_study
@@ -216,16 +216,15 @@ class Session:
         An already-constructed :class:`~repro.engine.ProsperityEngine` to
         share instead of building one from ``config`` — the serving
         scheduler uses this so many sessions (one per client config) run
-        through one engine, one cache, and one sharded pool. A shared
-        engine must match the config's engine section (backend name,
-        tile shape, plan mode, and — when the config pins one — worker
-        count); the session never closes it.
+        through one engine and one cache. A shared engine must match the
+        config's engine section (backend name and tile shape); the
+        session never closes it.
 
     The backend and engine are constructed lazily on first use and shared
-    by every call — ``Session`` is the pool-hygiene boundary: one
-    ``sharded`` session spawns exactly one process pool across any mix of
-    :meth:`run` / :meth:`simulate` / :meth:`sweep` calls, and
-    :meth:`close` (or the context manager) releases it.
+    by every call — ``Session`` is the resource boundary: one session
+    reuses one backend and engine across any mix of :meth:`run` /
+    :meth:`simulate` / :meth:`sweep` calls, and :meth:`close` (or the
+    context manager) releases them.
     """
 
     _QUEUEABLE = (
@@ -248,28 +247,18 @@ class Session:
         self._owns_engine = engine is None
         if engine is not None:
             engine_cfg = self.config.engine
-            engine_workers = getattr(engine.backend, "workers", None)
             mismatched = (
                 engine.backend.name != engine_cfg.backend
                 or engine.tile_m != engine_cfg.tile_m
                 or engine.tile_k != engine_cfg.tile_k
-                or engine.plan != engine_cfg.plan
-                # workers=None in the config means "backend default":
-                # any pool size is acceptable there.
-                or (
-                    engine_cfg.workers is not None
-                    and engine_workers != engine_cfg.workers
-                )
             )
             if mismatched:
                 raise ValueError(
                     "shared engine does not match the session config: engine "
                     f"is backend={engine.backend.name!r} tile="
-                    f"({engine.tile_m}, {engine.tile_k}) plan={engine.plan!r} "
-                    f"workers={engine_workers}, config wants "
+                    f"({engine.tile_m}, {engine.tile_k}), config wants "
                     f"backend={engine_cfg.backend!r} tile="
-                    f"({engine_cfg.tile_m}, {engine_cfg.tile_k}) "
-                    f"plan={engine_cfg.plan!r} workers={engine_cfg.workers}"
+                    f"({engine_cfg.tile_m}, {engine_cfg.tile_k})"
                 )
         self._backend: Backend | None = engine.backend if engine else None
         self._engine: ProsperityEngine | None = engine
@@ -299,13 +288,7 @@ class Session:
         with self._lock:
             self._check_open()
             if self._backend is None:
-                self._backend = get_backend(
-                    self.config.engine.backend,
-                    workers=self.config.engine.workers,
-                    # [resilience] supervision knobs for backends that
-                    # take them (sharded pool rebuild budget / degrade).
-                    **engine_backend_options(self.config),
-                )
+                self._backend = get_backend(self.config.engine.backend)
             return self._backend
 
     @property
@@ -325,7 +308,6 @@ class Session:
                     tile_m=engine_cfg.tile_m,
                     tile_k=engine_cfg.tile_k,
                     cache_size=engine_cfg.cache_size,
-                    plan=engine_cfg.plan,
                     store=self._store,
                 )
             return self._engine
@@ -336,8 +318,8 @@ class Session:
         Fully idempotent — a double (or concurrent) close is a no-op.
         Queued :meth:`submit` / :meth:`stream` jobs finish against a
         still-open session before resources go away; a shared (injected)
-        engine is left open for its other users, so the backend — and
-        any sharded pool — is closed exactly once, by its owner.
+        engine is left open for its other users, so the backend is
+        closed exactly once, by its owner.
         """
         with self._lock:
             if self._closed or self._draining:
@@ -396,7 +378,7 @@ class Session:
             self._check_open()
             start = time.perf_counter()
             trace = self.trace()
-            report = self.engine.run(trace, batch=self.config.engine.batch)
+            report = self.engine.run(trace)
             verified = None
             if self.config.engine.verify:
                 verified = self.engine.verify_trace(trace)
@@ -425,7 +407,7 @@ class Session:
                 mode=self.config.simulator.mode,
                 max_tiles_per_workload=self.config.sampling.effective,
                 rng=self._rng(),
-                engine=self.engine,  # shared: cache, backend, pool
+                engine=self.engine,  # shared: cache, backend, arena
             )
             reports["prosperity"] = simulator.simulate(trace)
             return SimulationResult(
@@ -445,8 +427,7 @@ class Session:
                 k_values=self.config.sweep.k_values,
                 max_tiles=self.config.sampling.effective,
                 rng=self._rng(),
-                backend=self.backend,  # shared instance: pool reused, kept open
-                plan=self.config.engine.plan,
+                backend=self.backend,  # shared instance, kept open
             )
             return SweepResult(
                 config=self.config,
@@ -508,8 +489,7 @@ class Session:
         """The session-owned :class:`~repro.api.scheduler.Scheduler`.
 
         Created on first use and seeded with this session's engine, so
-        scheduled jobs share the session's cache, arena, and (for
-        ``sharded``) process pool. Closed — after draining — by
+        scheduled jobs share the session's cache and arena. Closed — after draining — by
         :meth:`close`.
         """
         from repro.api.scheduler import Scheduler
@@ -533,8 +513,7 @@ class Session:
         handle additionally yields per-window chunks).
         Submissions from any thread are routed through the session's
         :class:`~repro.api.scheduler.Scheduler`, which serializes
-        execution against the shared engine — the safe default for
-        process-pool backends — and coalesces compatible engine jobs
+        execution against the shared engine and coalesces compatible engine jobs
         into one planner batch. The returned
         :class:`concurrent.futures.Future` resolves to the same
         :class:`RunResult` objects the direct calls return.

@@ -29,7 +29,6 @@ from repro.arch.sorter import BitonicSorter
 from repro.core.prosparsity import TILE_RECORD_FIELDS
 from repro.engine.backends import DEFAULT_BACKEND, Backend
 from repro.engine.pipeline import ProsperityEngine
-from repro.engine.planner import DEFAULT_PLAN
 from repro.snn.trace import GeMMWorkload, ModelTrace
 from repro.utils.bitops import pack_rows, popcount_rows
 
@@ -78,16 +77,6 @@ class ProsperitySimulator:
         every backend yields bit-identical tile records, so simulation
         results are backend-independent — only wall-clock time changes.
         Defaults to the ``fused`` fast path; ``reference`` is the oracle.
-    workers:
-        Process count forwarded to the ``sharded`` backend (``None``
-        leaves the backend default; other backends reject it).
-    plan:
-        Execution-planning mode for the transform (``"matrix"`` or
-        ``"trace"``, the default); under ``"trace"`` :meth:`simulate`
-        transforms the whole trace in one cross-workload plan instead of
-        per workload.
-        Simulation results are identical — only wall-clock changes.
-        Ignored when a pre-built ``engine`` is given (its plan wins).
     engine:
         Pre-built :class:`ProsperityEngine` to share a forest cache
         across simulators; overrides ``backend`` when given.
@@ -100,8 +89,6 @@ class ProsperitySimulator:
         max_tiles_per_workload: int | None = None,
         rng: np.random.Generator | None = None,
         backend: str | Backend = DEFAULT_BACKEND,
-        workers: int | None = None,
-        plan: str = DEFAULT_PLAN,
         engine: ProsperityEngine | None = None,
     ):
         if mode not in MODES:
@@ -118,8 +105,6 @@ class ProsperitySimulator:
                 backend=backend,
                 tile_m=config.tile_m,
                 tile_k=config.tile_k,
-                workers=workers,
-                plan=plan,
             )
         )
         self.memory = MemorySystem(config)
@@ -128,13 +113,8 @@ class ProsperitySimulator:
         self.energy = EnergyModel(config)
         self.name = f"prosperity[{mode}]" if mode != MODE_PROSPERITY else "prosperity"
 
-    @property
-    def plan(self) -> str:
-        """The engine's execution-planning mode."""
-        return self.engine.plan
-
     def close(self) -> None:
-        """Release engine resources (e.g. a sharded worker pool).
+        """Release engine resources (the planner arena, an owned backend).
 
         Only engines this simulator constructed are closed; a shared
         ``engine=`` passed in stays open for its other users (same
@@ -310,10 +290,10 @@ class ProsperitySimulator:
     def simulate(self, trace: ModelTrace) -> SimReport:
         """Simulate a full model trace.
 
-        Under ``plan="trace"`` the ProSparsity transform runs once over
-        the whole trace (cross-workload shape buckets, global content
-        dedup) instead of per workload; the per-layer records — and
-        therefore every latency/energy number — are bit-identical.
+        The ProSparsity transform runs once over the whole trace
+        (cross-workload shape buckets, global content dedup); the
+        per-layer records — and therefore every latency/energy number —
+        are bit-identical to a per-workload core transform.
         """
         report = SimReport(
             accelerator=self.name,

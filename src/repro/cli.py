@@ -17,9 +17,8 @@ Examples
     repro sweep    --model vgg16 --dataset cifar100
     repro tradeoff --sparsity-increase 0.1335
     repro scaling  --model vgg16 --dataset cifar10
-    repro run      --model vgg16 --backend fused --batch 8 --verify
-    repro run      --model vgg16 --backend sharded --workers 4
-    repro run      --config run.toml --set engine.plan=matrix
+    repro run      --model vgg16 --backend fused --verify
+    repro run      --config run.toml --set engine.cache_size=0
     repro config dump --set workload.model=lenet5 > run.toml
     repro batch    --config a.toml --config b.toml --set engine.backend=fused
     repro serve    --config serve.toml --port 8707
@@ -52,7 +51,7 @@ from repro.api import (
     StreamStalledError,
 )
 from repro.api.client import ServeClient, ServeError
-from repro.engine import PLAN_MODES, available_backends
+from repro.engine import available_backends
 from repro.engine.store import ResultStore, default_store_path
 from repro.server.protocol import RECORD_MODES
 from repro.workloads import PRESETS
@@ -77,9 +76,6 @@ _FLAG_KEYS = {
     "seed": "workload.seed",
     "max_tiles": "sampling.max_tiles",
     "backend": "engine.backend",
-    "workers": "engine.workers",
-    "plan": "engine.plan",
-    "batch": "engine.batch",
     "cache_size": "engine.cache_size",
     "verify": "engine.verify",
     "sparsity_increase": "tradeoff.sparsity_increase",
@@ -93,8 +89,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     """Merge defaults < ``--config`` file < flags < ``--set`` overrides.
 
     Config errors on every surface — an unreadable/invalid ``--config``
-    file, a flag value the config rejects (``--workers`` on a
-    non-sharded backend, ``--batch 0``), or a bad ``--set`` string —
+    file, a flag value the config rejects (``--cache-size -1``), or a
+    bad ``--set`` string —
     exit with a one-line message rather than a traceback.
     """
     if getattr(args, "config", None):
@@ -245,7 +241,7 @@ def cmd_run(config: RunConfig, session: Session) -> str:
         title=(
             f"engine run — {workload.model}/{workload.dataset}"
             f" ({workload.preset}) "
-            f"backend={report.backend} batch={report.batch}"
+            f"backend={report.backend}"
         ),
     )
     footer = (
@@ -254,18 +250,6 @@ def cmd_run(config: RunConfig, session: Session) -> str:
         f"forest cache: {report.cache_hits} hits / {report.cache_misses} misses "
         f"({report.cache_hit_rate:.1%} hit rate)"
     )
-    if report.workers is not None:
-        footer += f"\nworkers: {report.workers}"
-    if report.pool_rebuilds or report.retries:
-        footer += (
-            f"\nresilience: {report.pool_rebuilds} pool rebuild(s), "
-            f"{report.retries} retried dispatch(es)"
-        )
-    if report.degraded:
-        footer += (
-            "\ndegraded: sharded pool rebuild budget exhausted — "
-            "running the in-process fused path"
-        )
     if report.store_active is not None:
         footer += (
             f"\nstore: {report.store_hits} hits / {report.store_misses} misses, "
@@ -277,19 +261,11 @@ def cmd_run(config: RunConfig, session: Session) -> str:
                 "\nstore: DEGRADED — persistent cache disabled for this "
                 "process, runs continue via the kernel path"
             )
-    if report.jit_active is not None:
-        footer += (
-            "\njit: active (numba kernels)"
-            if report.jit_active
-            else "\njit: inactive — NumPy fallback (install repro[compiled] "
-            "and unset REPRO_NO_JIT for native kernels)"
-        )
-    if report.plan == "trace":
-        footer += (
-            f"\nplan: trace — {report.planned_tiles} tiles -> "
-            f"{report.unique_tiles} unique "
-            f"({report.dedup_ratio:.2f}x cross-workload dedup)"
-        )
+    footer += (
+        f"\nplan: trace — {report.planned_tiles} tiles -> "
+        f"{report.unique_tiles} unique "
+        f"({report.dedup_ratio:.2f}x cross-workload dedup)"
+    )
     if report.profile:
         footer += "\nprofile: " + "  ".join(
             f"{stage}={seconds * 1e3:.1f}ms"
@@ -305,12 +281,12 @@ def cmd_run(config: RunConfig, session: Session) -> str:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    """Run many job configs through one shared scheduler and pool.
+    """Run many job configs through one shared scheduler.
 
     Each ``--config`` file becomes one job (``--set`` overrides apply to
     every job); compatible engine jobs coalesce into shared trace-planner
     batches, so concurrent configs share one global dedup, one kernel
-    launch per shape bucket, and one process pool per engine signature.
+    launch per shape bucket, and one engine per engine signature.
     """
     configs = []
     for path in args.configs:
@@ -354,7 +330,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
         footer = (
             f"\nscheduler: {scheduler.jobs_submitted} job(s) submitted, "
             f"{scheduler.jobs_coalesced} coalesced across {scheduler.batches} "
-            f"planner batch(es); pools spawned: {scheduler.pools_spawned}"
+            "planner batch(es)"
         )
         # Resilience counters appear only when something actually
         # happened, so the healthy-path footer stays byte-stable.
@@ -366,17 +342,13 @@ def cmd_batch(args: argparse.Namespace) -> int:
                 "isolation_reruns",
                 "jobs_shed",
                 "jobs_expired",
-                "pool_rebuilds",
             )
             if stats[key]
         ]
-        if incidents or stats["degraded"]:
-            parts = [
+        if incidents:
+            footer += "\nresilience: " + ", ".join(
                 f"{key.replace('_', ' ')}: {value}" for key, value in incidents
-            ]
-            if stats["degraded"]:
-                parts.append("degraded: pool unavailable, in-process fallback")
-            footer += "\nresilience: " + ", ".join(parts)
+            )
         if any(config.cache.enabled for _, config in configs):
             footer += (
                 f"\nstore: {stats['store_hits']} hits / "
@@ -704,7 +676,7 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
         "--set", dest="sets", action="append", metavar="SECTION.KEY=VALUE",
         default=[],
         help="config override (repeatable, applied after flags), "
-        "e.g. --set engine.plan=matrix",
+        "e.g. --set engine.cache_size=0",
     )
 
 
@@ -729,19 +701,8 @@ def _add_backend_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend", default=None, choices=available_backends(),
         help="ProSparsity transform backend; results are identical, "
-        "fused/sharded are the fast tile-batched paths "
+        "fused is the fast path and reference the per-tile oracle "
         f"(config default: {EngineConfig.backend})",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="process count for the sharded backend "
-        "(other backends reject this option)",
-    )
-    parser.add_argument(
-        "--plan", default=None, choices=PLAN_MODES,
-        help="execution planning scope: 'matrix' batches per workload, "
-        "'trace' buckets and dedups tiles across the whole trace "
-        f"(config default: {EngineConfig.plan})",
     )
 
 
@@ -761,23 +722,20 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("density", "simulate", "sweep"):
             _add_backend_args(sub)
     run = subparsers.add_parser(
-        "run", help="batched ProSparsity engine run with backend selection"
+        "run", help="trace-planned ProSparsity engine run with backend selection"
     )
     _add_config_args(run)
     # The engine always transforms every tile (no sampling): throughput
     # and cache numbers describe the full workload.
     _add_workload_args(run, sampling=False)
     _add_backend_args(run)
-    run.add_argument("--batch", type=int, default=None,
-                     help="max layers stacked into one engine pass under "
-                     "--plan matrix (config default: 8)")
     run.add_argument("--cache-size", type=int, default=None,
                      help="forest cache capacity in distinct tiles, 0 = off "
                      "(config default: 4096)")
     run.add_argument("--verify", action="store_true", default=None,
                      help="re-run through the reference oracle and compare")
     batch = subparsers.add_parser(
-        "batch", help="run many configs through one shared scheduler/pool"
+        "batch", help="run many configs through one shared scheduler"
     )
     batch.add_argument(
         "--config", dest="configs", action="append", metavar="FILE",

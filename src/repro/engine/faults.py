@@ -1,7 +1,8 @@
 """Deterministic fault injection for resilience testing.
 
-The serving stack (``ShardedBackend`` pool supervision, scheduler
-retry/isolation, admission control) must be provable in tests and CI,
+The serving stack (scheduler retry/isolation, admission control, the
+persistent store's degradation, the network front end) must be provable
+in tests and CI,
 not only under real crashes.  This module provides a tiny, deterministic
 harness: a *fault plan* names failure points that the engine checks at
 well-known sites, and every check is inert — one global load and an
@@ -11,20 +12,15 @@ Activation
 ----------
 A plan comes from either :func:`install` (programmatic, also used by the
 ``[resilience]`` config section) or the ``REPRO_FAULTS`` environment
-variable.  The env var is the source of truth shared with worker
-processes: ``ShardedBackend`` workers are forked children, so a plan
-installed in the parent is visible to every worker it spawns, and
-:func:`consume` rewrites the env var as faults burn out so *rebuilt*
-pools spawn clean workers.
+variable, which is read once, on first use.
 
 Spec grammar
 ------------
 Comma-separated specs, each ``kind[:key=value]*``::
 
-    worker_crash                      # first pooled task kills its worker
-    worker_crash:after=2:times=1      # let 2 tasks through, then crash once
     slow_kernel:seconds=0.05          # sleep before one kernel dispatch
     engine_error:times=2              # raise a *transient* FaultInjected twice
+    engine_error:after=2              # let 2 kernel calls through, then raise once
     poison_job:match=bad              # jobs whose label contains "bad" always fail
     store_corrupt:times=2             # corrupt 2 persistent-store entries on read
     store_io_error:match=put          # fail one store write with an OSError
@@ -32,7 +28,7 @@ Comma-separated specs, each ``kind[:key=value]*``::
     slow_request:seconds=0.2          # server stalls one request before handling
     stream_stall:seconds=0.5          # a stream source stops emitting
 
-``worker_crash``, ``slow_kernel``, ``engine_error``, ``store_corrupt``,
+``slow_kernel``, ``engine_error``, ``store_corrupt``,
 ``store_io_error``, ``reject_request`` and ``slow_request`` burn out
 after ``times`` triggers (0 = unlimited); ``poison_job`` is persistent
 — it models a request that deterministically breaks the engine, so
@@ -68,13 +64,11 @@ from typing import Iterable, Iterator
 __all__ = [
     "ENV_VAR",
     "FAULT_KINDS",
-    "WORKER_CRASH_EXIT",
     "FaultInjected",
     "FaultPlan",
     "FaultSpec",
     "active_plan",
     "clear",
-    "consume",
     "injected",
     "install",
     "kernel_fault",
@@ -83,21 +77,13 @@ __all__ = [
     "request_fault",
     "store_fault",
     "stream_fault",
-    "worker_tick",
 ]
 
-#: Environment variable holding the serialized fault plan.  Forked
-#: worker processes inherit it, which is how ``worker_crash`` reaches
-#: the pool children without any extra plumbing.
+#: Environment variable holding a fault plan spec, read on first use.
 ENV_VAR = "REPRO_FAULTS"
-
-#: Exit code used by ``worker_crash`` so a harness-induced death is
-#: distinguishable from a genuine crash in pool post-mortems.
-WORKER_CRASH_EXIT = 87
 
 #: Failure points the harness understands.
 FAULT_KINDS = (
-    "worker_crash",
     "slow_kernel",
     "engine_error",
     "poison_job",
@@ -190,21 +176,6 @@ class FaultSpec:
         self.fired += 1
         return True
 
-    def to_text(self) -> str:
-        """Serialize the *remaining* budget (triggers already fired are
-        subtracted) so the env var always describes faults still armed."""
-        parts = [self.kind]
-        if self.after:
-            parts.append(f"after={self.after}")
-        remaining = self.times - self.fired if self.times > 0 else 0
-        if self.times > 0 and remaining != 1:
-            parts.append(f"times={remaining}")
-        if self.seconds:
-            parts.append(f"seconds={self.seconds}")
-        if self.match:
-            parts.append(f"match={self.match}")
-        return ":".join(parts)
-
 
 class FaultPlan:
     """An active set of fault specs, at most one per kind."""
@@ -227,14 +198,8 @@ class FaultPlan:
     def get(self, kind: str) -> FaultSpec | None:
         return self.specs.get(kind)
 
-    def to_text(self) -> str:
-        """Remaining armed faults as a spec string (may be empty)."""
-        return ",".join(
-            spec.to_text() for spec in self.specs.values() if not spec.exhausted
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"FaultPlan({self.to_text()!r})"
+        return f"FaultPlan({list(self.specs.values())!r})"
 
 
 # Module state: _UNSET means "not yet resolved from the environment";
@@ -243,33 +208,6 @@ class FaultPlan:
 _UNSET: object = object()
 _PLAN: "FaultPlan | None | object" = _UNSET
 _LOCK = threading.Lock()
-
-# Per-process worker-side state (each forked pool worker re-resolves its
-# crash spec lazily from the inherited environment on its first task).
-_WORKER: dict[str, object] = {"count": 0, "spec": _UNSET}
-
-
-def _sync_env(plan: "FaultPlan | None") -> None:
-    """Mirror the plan's remaining budget into ``REPRO_FAULTS`` so
-    workers forked *after* this point see only faults still armed."""
-    text = plan.to_text() if plan is not None else ""
-    if text:
-        os.environ[ENV_VAR] = text
-    else:
-        os.environ.pop(ENV_VAR, None)
-
-
-def _reset_worker_state() -> None:
-    """Invalidate the lazily-resolved worker-side spec.
-
-    Pool workers are *forked*, so they inherit this module's state —
-    including a ``_WORKER`` cache resolved before the current plan was
-    installed. Resetting on every plan change makes children forked
-    from here re-resolve from the (just-synced) environment.
-    """
-    _WORKER["count"] = 0
-    _WORKER["spec"] = _UNSET
-
 
 def active_plan() -> "FaultPlan | None":
     """The process-wide plan, resolving ``REPRO_FAULTS`` on first use."""
@@ -284,7 +222,7 @@ def active_plan() -> "FaultPlan | None":
 
 
 def install(spec: "str | FaultPlan | None") -> "FaultPlan | None":
-    """Activate a fault plan (spec string or plan) and sync the env.
+    """Activate a fault plan (spec string or plan) for this process.
 
     Installing an empty/None spec clears any active plan.
     """
@@ -292,13 +230,11 @@ def install(spec: "str | FaultPlan | None") -> "FaultPlan | None":
     plan = FaultPlan.parse(spec) if isinstance(spec, str) or spec is None else spec
     with _LOCK:
         _PLAN = plan
-        _sync_env(plan)
-        _reset_worker_state()
     return plan
 
 
 def clear() -> None:
-    """Deactivate fault injection and scrub ``REPRO_FAULTS``."""
+    """Deactivate fault injection (``REPRO_FAULTS`` is not re-read)."""
     install(None)
 
 
@@ -307,45 +243,20 @@ def refresh() -> "FaultPlan | None":
     global _PLAN
     with _LOCK:
         _PLAN = _UNSET
-        _reset_worker_state()
     return active_plan()
 
 
 @contextmanager
 def injected(spec: str) -> Iterator["FaultPlan | None"]:
-    """Context manager: install a plan, restore prior state on exit."""
+    """Context manager: install a plan, restore the prior one on exit."""
     global _PLAN
     previous_plan = _PLAN
-    previous_env = os.environ.get(ENV_VAR)
     plan = install(spec)
     try:
         yield plan
     finally:
         with _LOCK:
             _PLAN = previous_plan
-            if previous_env is None:
-                os.environ.pop(ENV_VAR, None)
-            else:
-                os.environ[ENV_VAR] = previous_env
-            _reset_worker_state()
-
-
-def consume(kind: str) -> None:
-    """Burn one trigger of ``kind`` from the parent-side plan.
-
-    Called by supervisors after *recovering* from a fault whose trigger
-    fired in another process (a crashed pool worker cannot decrement the
-    parent's budget itself).  Re-syncs the env var so pools rebuilt from
-    here fork clean workers once the fault's budget is spent.
-    """
-    plan = active_plan()
-    if plan is None:
-        return
-    with _LOCK:
-        spec = plan.get(kind)
-        if spec is not None:
-            spec.fired += 1
-        _sync_env(plan)
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +280,8 @@ def _kernel_fault_armed(site: str) -> None:
     slow = plan.get("slow_kernel")
     if slow is not None and slow.should_fire():
         time.sleep(slow.seconds)
-        _sync_env(plan)
     error = plan.get("engine_error")
     if error is not None and error.should_fire():
-        _sync_env(plan)
         raise FaultInjected(
             f"injected engine error at {site}", site=site, transient=True
         )
@@ -434,7 +343,6 @@ def _store_fault_armed(site: str) -> str | None:
             # the verdict would be ignored.
             continue
         if spec.should_fire():
-            _sync_env(plan)
             return verdict
     return None
 
@@ -461,12 +369,10 @@ def _request_fault_armed(site: str) -> str | None:
     slow = plan.get("slow_request")
     if slow is not None and (not slow.match or slow.match in site):
         if slow.should_fire():
-            _sync_env(plan)
             time.sleep(slow.seconds)
     reject = plan.get("reject_request")
     if reject is not None and (not reject.match or reject.match in site):
         if reject.should_fire():
-            _sync_env(plan)
             return "reject"
     return None
 
@@ -496,27 +402,5 @@ def _stream_fault_armed(site: str) -> float | None:
     if spec.match and spec.match not in site:
         return None
     if spec.should_fire():
-        _sync_env(plan)
         return spec.seconds
     return None
-
-
-def worker_tick() -> None:
-    """Per-task check inside a pool worker; kills the process when the
-    inherited ``worker_crash`` spec triggers.
-
-    Worker processes are forked, so this resolves the spec from the
-    environment snapshot taken at fork time — a pool rebuilt after
-    :func:`consume` spent the budget forks crash-free workers.
-    """
-    state = _WORKER
-    if state["spec"] is _UNSET:
-        plan = FaultPlan.parse(os.environ.get(ENV_VAR))
-        state["spec"] = plan.get("worker_crash") if plan is not None else None
-    spec = state["spec"]
-    if spec is None:
-        return
-    count = int(state["count"]) + 1  # type: ignore[call-overload]
-    state["count"] = count
-    if count > spec.after:  # type: ignore[union-attr]
-        os._exit(WORKER_CRASH_EXIT)

@@ -1,37 +1,38 @@
-"""Fused tile-batched ProSparsity kernels: no per-tile Python dispatch.
+"""The fused ProSparsity backend: tile-batched kernels, no per-tile dispatch.
 
-The ``vectorized`` backend made each tile cheap; this module makes the
-*loop over tiles* cheap as well. All same-shape tiles of a matrix (and,
-through the pipeline's layer stacking, of a whole batch) are stacked into
-``(T, m, W)`` packed-code tensors and the whole transform — prefix
-selection, exact-match resolution, residual popcounts, tile records —
-runs as a handful of batched broadcasts over the stack.
+All same-shape tiles of a trace (the planner's shape buckets, see
+:mod:`repro.engine.planner`) are stacked into ``(T, m, W)`` packed-code
+tensors and the whole transform — prefix selection, exact-match
+resolution, residual popcounts, tile records — runs as a handful of
+batched broadcasts over the stack. Spike rows are packed with
+``np.packbits`` into fixed-width machine-word *codes*, so the all-pairs
+subset test (the TCAM model) is a broadcast AND/compare over words.
 
-Two kernel-level ideas carry the speedup beyond plain batching:
+Two kernel-level ideas carry the speed:
 
 * **Sorted-key triangle scan.** Rows and candidate columns are both
   sorted by the Pruner's descending ``(popcount, index)`` key, packed
-  into one int32 word per row. A candidate is legal exactly when its key
+  into one int64 word per row. A candidate is legal exactly when its key
   is *strictly smaller* than the query row's key (this single comparison
   subsumes the pop>0, self-exclusion, and exact-match tie-break rules),
   so in sorted order the legal region is the strict upper triangle.
   Scanning candidate columns in ascending blocks lets rows resolve at
   their first hit and skips the lower-triangle half of the subset tests
   entirely.
-* **Batch-level content dedup.** Tiles are deduplicated by raw packed
-  bytes (``np.unique`` over void views — no Python hashing) before any
-  kernel runs; each distinct tile content is computed once and results
-  are scattered back. The dedup composes with the engine's
+* **Content dedup.** Tiles are deduplicated by raw packed bytes
+  (``np.unique`` over void views — no Python hashing) before any kernel
+  runs; each distinct tile content is computed once and results are
+  scattered back. The dedup composes with the engine's
   :class:`~repro.engine.pipeline.ForestCache`: one digest per *unique*
   tile serves both the lookup and the fill.
 
 Padding is hoisted: a matrix's packed rows are padded to the machine-word
-byte width once per column block (``padded_codes``), instead of
-re-padding every tile's rows on each :func:`~repro.engine.backends.pack_codes`
-call — non-power-of-two byte widths (3, 5, 6, 7 bytes) hit this path.
+byte width once per column block (``padded_codes``) instead of once per
+tile — non-power-of-two byte widths (3, 5, 6, 7 bytes) hit this path.
 
-Per-stage wall-clock is accumulated in ``FusedBackend.profile`` under
-``pack`` / ``select`` / ``record`` / ``merge`` and surfaces in
+The per-tile entry points (``forest``, ``tile_record``, ``execute``) run
+the same kernels on a one-tile stack. Kernel wall-clock accumulates in
+``FusedBackend.profile`` under ``select`` / ``record`` and surfaces in
 :class:`~repro.engine.pipeline.EngineReport`.
 """
 
@@ -41,24 +42,20 @@ import time
 
 import numpy as np
 
-from repro.core.forest import NO_PREFIX
-from repro.engine import faults
+from repro.core.forest import NO_PREFIX, ProSparsityForest
 from repro.core.prosparsity import TILE_RECORD_FIELDS
 from repro.core.spike_matrix import SpikeMatrix, SpikeTile
-from repro.engine.backends import (
-    _CODE_DTYPES,
-    VectorizedBackend,
-    code_width,
-    register_backend,
-)
+from repro.engine import faults
+from repro.engine.backends import Backend, register_backend
 from repro.utils.bitops import popcount_rows
 
 __all__ = [
     "FusedBackend",
-    "PROFILE_STAGES",
-    "build_tile_groups",
+    "KERNEL_STAGES",
     "build_tile_parts",
     "cached_unique_records",
+    "chain_depths",
+    "code_width",
     "dedup_tiles",
     "max_chain_depth_batch",
     "padded_codes",
@@ -66,8 +63,11 @@ __all__ = [
     "select_prefixes_batch",
 ]
 
-#: Stage keys every profiling dict uses, in pipeline order.
-PROFILE_STAGES = ("pack", "select", "record", "merge")
+#: Profile stages the backend's kernels book themselves.
+KERNEL_STAGES = ("select", "record")
+
+# Smallest unsigned dtype able to hold a packed row of the given byte width.
+_CODE_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
 #: Element budget for one (chunk, m, m) candidate block (bounds peak memory).
 _CHUNK_ELEMENT_BUDGET = 1 << 22
@@ -78,13 +78,29 @@ _COL_BLOCK = 64
 _INT32_MAX = np.iinfo(np.int32).max
 
 
+def code_width(nbytes: int) -> int:
+    """Byte width of the machine-word code holding ``nbytes`` packed bytes.
+
+    Up to 8 bytes snaps to the next power of two (one machine word);
+    wider rows use whole ``uint64`` words.
+    """
+    width = 1
+    while width < nbytes:
+        width *= 2
+    if width > 8:
+        width = -(-nbytes // 8) * 8
+    return width
+
+
 def padded_codes(packed: np.ndarray) -> np.ndarray:
-    """Whole-matrix form of :func:`~repro.engine.backends.pack_codes`.
+    """View packed ``uint8`` rows as ``(rows, W)`` machine-word codes.
 
     Pads a ``(rows, nbytes)`` packed matrix to its machine-word byte
     width *once*; every tile's codes are then plain row slices of the
-    result. Bit-identical to calling ``pack_codes`` on each tile's rows
-    (pinned by the width-3/5/6/7 regression tests).
+    result. Rows of up to 64 bits collapse to a single word (``W == 1``)
+    so the subset test is one broadcast op; wider rows use multiple
+    ``uint64`` words. The code value is an opaque bijection of the bit
+    pattern — only bitwise algebra and equality are ever applied to it.
     """
     packed = np.ascontiguousarray(packed, dtype=np.uint8)
     rows, nbytes = packed.shape
@@ -99,12 +115,11 @@ def padded_codes(packed: np.ndarray) -> np.ndarray:
 def select_prefixes_batch(codes: np.ndarray, popcounts: np.ndarray) -> np.ndarray:
     """Batched Pruner: ``(T, m, W)`` codes -> ``(T, m)`` prefix rows.
 
-    Row-for-row identical to
-    :func:`~repro.engine.backends.select_prefixes_codes` applied per
-    tile. Both rows and candidate columns are sorted by the descending
-    ``(popcount, index)`` key packed into one int32, making the legal
-    region a strict upper triangle that is scanned in ascending column
-    blocks with first-hit resolution.
+    Row-for-row identical to :func:`repro.core.forest.select_prefixes`
+    applied per tile. Both rows and candidate columns are sorted by the
+    descending ``(popcount, index)`` key packed into one int64, making
+    the legal region a strict upper triangle that is scanned in
+    ascending column blocks with first-hit resolution.
     """
     T, m, W = codes.shape
     prefix = np.full((T, m), NO_PREFIX, dtype=np.int64)
@@ -196,10 +211,10 @@ def records_from_codes_batch(
 ) -> np.ndarray:
     """Tile records for a ``(T, m, W)`` stack, one batched pass per field.
 
-    Row-for-row identical to
-    :func:`~repro.engine.backends.record_from_codes` applied per tile.
-    Prefix selection is chunked along T to bound the ``(chunk, m, m)``
-    candidate blocks at ``_CHUNK_ELEMENT_BUDGET`` elements.
+    Row-for-row identical to :func:`repro.core.prosparsity.forest_record`
+    applied per tile (field order must mirror it). Prefix selection is
+    chunked along T to bound the ``(chunk, m, m)`` candidate blocks at
+    ``_CHUNK_ELEMENT_BUDGET`` elements.
     """
     T, m, W = codes.shape
     start = time.perf_counter()
@@ -230,21 +245,6 @@ def records_from_codes_batch(
     return records
 
 
-class _TileGroup:
-    """All tiles of one ``(m, k)`` shape, stacked for a batched kernel."""
-
-    __slots__ = ("m", "k", "nbytes", "codes", "popcounts", "raw", "positions")
-
-    def __init__(self, m, k, nbytes, codes, popcounts, raw, positions):
-        self.m = m                  # rows per tile
-        self.k = k                  # columns per tile
-        self.nbytes = nbytes        # packed bytes per tile row
-        self.codes = codes          # (T, m, W) machine-word codes
-        self.popcounts = popcounts  # (T, m) int64
-        self.raw = raw              # (T, m * nbytes) packed bytes (cache key)
-        self.positions = positions  # (T,) row-major tile indices in the matrix
-
-
 def build_tile_parts(
     matrix: SpikeMatrix, tile_m: int, tile_k: int
 ) -> dict[tuple[int, int], list[tuple]]:
@@ -255,8 +255,7 @@ def build_tile_parts(
     plus the ragged tail. Returns ``{(m, k): [(nbytes, codes, pops,
     raw, positions), ...]}`` with positions in the row-major order of
     :meth:`SpikeMatrix.tile`. Callers that assemble their own stacks
-    (the trace planner's arena buckets) consume the chunks directly and
-    skip the per-matrix concatenate :func:`build_tile_groups` performs.
+    (the trace planner's arena buckets) consume the chunks directly.
     """
     bits = matrix.bits
     rows, cols = bits.shape
@@ -309,33 +308,6 @@ def build_tile_parts(
     return parts
 
 
-def build_tile_groups(
-    matrix: SpikeMatrix, tile_m: int, tile_k: int
-) -> tuple[list[_TileGroup], int]:
-    """Pack a matrix once and stack its tiles into same-shape groups.
-
-    Concatenated-group form of :func:`build_tile_parts`. Returns
-    ``(groups, total_tiles)``; group positions index tiles in the
-    row-major order of :meth:`SpikeMatrix.tile`.
-    """
-    parts = build_tile_parts(matrix, tile_m, tile_k)
-    groups = []
-    for (m, k), chunks in parts.items():
-        nbytes = chunks[0][0]
-        groups.append(
-            _TileGroup(
-                m=m,
-                k=k,
-                nbytes=nbytes,
-                codes=np.concatenate([c[1] for c in chunks]),
-                popcounts=np.concatenate([c[2] for c in chunks]),
-                raw=np.concatenate([c[3] for c in chunks]),
-                positions=np.concatenate([c[4] for c in chunks]),
-            )
-        )
-    return groups, matrix.num_tiles(tile_m, tile_k)
-
-
 def cached_unique_records(
     m: int,
     k: int,
@@ -348,8 +320,7 @@ def cached_unique_records(
 ) -> np.ndarray:
     """Records for a deduplicated stack: cache per unique, expand back.
 
-    The one cache-interaction protocol shared by the fused per-matrix
-    path and the trace planner: look up each unique content (``first``
+    The trace planner's cache-interaction protocol: look up each unique content (``first``
     indexes into ``raw``) by a key hashed once, call ``compute(rows)``
     for the misses only, fill the cache, and expand through ``inverse``
     to the full stack. ``add_seconds`` receives the cache/dedup traffic
@@ -389,7 +360,7 @@ def dedup_tiles(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(unique_rows, inverse)`` with ``raw[i] ==
     unique_rows[inverse[i]]``. Unique rows are byte-sorted, so the order
     is deterministic for a given content set — independent of tile
-    position, batch composition, or worker count.
+    position or batch composition.
     """
     T, L = raw.shape
     if L == 0 or T == 0:
@@ -399,19 +370,50 @@ def dedup_tiles(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse
 
 
+def chain_depths(prefix: np.ndarray) -> np.ndarray:
+    """Length of each row's prefix chain (0 for roots), fully vectorized."""
+    m = len(prefix)
+    depth = np.zeros(m, dtype=np.int64)
+    current = np.asarray(prefix, dtype=np.int64).copy()
+    while True:
+        live = current != NO_PREFIX
+        if not live.any():
+            return depth
+        depth[live] += 1
+        if depth.max() > m:
+            raise RuntimeError("prefix chains do not terminate; cycle present")
+        nxt = np.full(m, NO_PREFIX, dtype=np.int64)
+        nxt[live] = prefix[current[live]]
+        current = nxt
+
+
 @register_backend
-class FusedBackend(VectorizedBackend):
+class FusedBackend(Backend):
     """Tile-batched backend: same-shape tiles run as one broadcast.
 
-    Per-tile entry points (``forest``, ``execute``) inherit the
-    vectorized kernels; the bulk ``matrix_records`` path is fully fused.
-    Wall-clock per stage accumulates in :attr:`profile`.
+    The trace planner feeds whole shape buckets to
+    :meth:`_compute_records`; the per-tile entry points run the same
+    kernels on a one-tile stack. Kernel wall-clock per stage accumulates
+    in :attr:`profile`.
     """
 
     name = "fused"
 
     def __init__(self):
-        self.profile: dict[str, float] = {stage: 0.0 for stage in PROFILE_STAGES}
+        self.profile: dict[str, float] = {stage: 0.0 for stage in KERNEL_STAGES}
+
+    def forest(self, tile: SpikeTile) -> ProSparsityForest:
+        popcounts = popcount_rows(tile.packed)
+        prefix = select_prefixes_batch(
+            padded_codes(tile.packed)[None], popcounts[None]
+        )[0]
+        pattern = tile.bits.copy()
+        rows = np.flatnonzero(prefix != NO_PREFIX)
+        if rows.size:
+            pattern[rows] = tile.bits[rows] ^ tile.bits[prefix[rows]]
+        return ProSparsityForest(
+            tile=tile, prefix=prefix, pattern=pattern, popcounts=popcounts
+        )
 
     def tile_record(self, tile: SpikeTile) -> tuple[int, ...]:
         codes = padded_codes(tile.packed)
@@ -421,49 +423,31 @@ class FusedBackend(VectorizedBackend):
         )[0]
         return tuple(record.tolist())
 
-    def _group_records(self, group: _TileGroup, cache) -> np.ndarray:
-        """Records for one shape group: dedup, cache, one batched kernel."""
-        start = time.perf_counter()
-        first, inverse = dedup_tiles(group.raw)
-        self.profile["merge"] += time.perf_counter() - start
-
-        def add_merge_seconds(seconds: float) -> None:
-            self.profile["merge"] += seconds
-
-        return cached_unique_records(
-            group.m,
-            group.k,
-            group.raw,
-            first,
-            inverse,
-            lambda rows: self._compute_records(
-                group.codes[rows], group.popcounts[rows], group.k
-            ),
-            cache,
-            add_merge_seconds,
-        )
-
     def _compute_records(
         self, codes: np.ndarray, popcounts: np.ndarray, k: int
     ) -> np.ndarray:
-        """Kernel dispatch for one deduplicated stack (sharding seam)."""
+        """Kernel dispatch for one deduplicated ``(T, m, W)`` stack."""
         faults.kernel_fault("fused.compute_records")
         return records_from_codes_batch(codes, popcounts, k, profile=self.profile)
 
-    def matrix_records(
-        self,
-        matrix: SpikeMatrix,
-        tile_m: int,
-        tile_k: int,
-        cache=None,
-    ) -> np.ndarray:
-        start = time.perf_counter()
-        groups, total = build_tile_groups(matrix, tile_m, tile_k)
-        self.profile["pack"] += time.perf_counter() - start
-        records = np.empty((total, len(TILE_RECORD_FIELDS)), dtype=np.int64)
-        for group in groups:
-            group_records = self._group_records(group, cache)
-            start = time.perf_counter()
-            records[group.positions] = group_records
-            self.profile["merge"] += time.perf_counter() - start
-        return records
+    def execute(self, forest: ProSparsityForest, weights: np.ndarray) -> np.ndarray:
+        """Matmul residuals, then seed prefixes one forest level at a time.
+
+        Bit-identical to the reference for integer weights (all
+        arithmetic is exact int64); floating-point outputs agree up to
+        summation order.
+        """
+        weights = np.asarray(weights)
+        if weights.shape[0] != forest.k:
+            raise ValueError(
+                f"weight rows ({weights.shape[0]}) must match tile k ({forest.k})"
+            )
+        out_dtype = (
+            np.int64 if np.issubdtype(weights.dtype, np.integer) else np.float64
+        )
+        out = forest.pattern.astype(out_dtype) @ weights.astype(out_dtype)
+        depth = chain_depths(forest.prefix)
+        for level in range(1, int(depth.max()) + 1 if len(depth) else 0):
+            rows = np.flatnonzero(depth == level)
+            out[rows] += out[forest.prefix[rows]]
+        return out

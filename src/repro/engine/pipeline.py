@@ -4,13 +4,15 @@ SNN traces repeat themselves: the same spike tile recurs across time
 steps, and layers often share activation structure. The engine therefore
 keys every per-tile artifact (record or forest) by a BLAKE2 digest of the
 tile's ``np.packbits`` content, so a repeated tile is a cache hit instead
-of a recompute. On top of that, consecutive same-width layers are stacked
-into one tall matrix per batch, amortizing packing and Python dispatch
-over many layers/timesteps.
+of a recompute. Every run goes through the
+:class:`~repro.engine.planner.TracePlanner`, which packs the whole trace
+into cross-workload shape buckets and dedups each bucket's contents
+before one kernel launch per bucket.
 
 :class:`ProsperityEngine` is the high-throughput entry point used by the
 CLI (``repro run``), the architecture simulator, and the throughput
-benchmark; it mirrors the :mod:`repro.core` transform contract exactly.
+benchmark; it mirrors the :mod:`repro.core` transform contract exactly,
+and :meth:`ProsperityEngine.verify_trace` checks it against that code.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core import prosparsity as core
 from repro.core.dispatch import build_dispatch_plan
 from repro.core.forest import ProSparsityForest
 from repro.core.prosparsity import (
@@ -37,18 +40,8 @@ from repro.core.prosparsity import (
     validate_tile_shape,
 )
 from repro.core.spike_matrix import SpikeMatrix, SpikeTile
-from repro.engine.backends import (
-    DEFAULT_BACKEND,
-    Backend,
-    ReferenceBackend,
-    get_backend,
-)
-from repro.engine.planner import (
-    DEFAULT_PLAN,
-    PLANNED_PROFILE_STAGES,
-    TracePlanner,
-    validate_plan_mode,
-)
+from repro.engine.backends import DEFAULT_BACKEND, Backend, get_backend
+from repro.engine.planner import PROFILE_STAGES, TracePlanner
 from repro.snn.trace import GeMMWorkload, ModelTrace
 
 __all__ = [
@@ -160,7 +153,7 @@ class ForestCache:
     # -- key-based record access (batched/deduplicated paths) -----------
     def get_record_by_key(self, key: tuple):
         """Record lookup with a precomputed :meth:`key` (hash once per
-        unique tile content, as the fused/sharded dedup does).
+        unique tile content, as the planner's dedup does).
 
         Tiered: memory first, then the persistent store (whose file IO
         happens *outside* the LRU mutex); a store hit backfills memory
@@ -215,51 +208,34 @@ class WorkloadRun:
 
 @dataclass
 class EngineReport:
-    """Aggregate result of one batched engine run over a trace.
+    """Aggregate result of one engine run over a trace.
 
-    ``profile`` breaks the run's wall-clock into pipeline stages when the
-    backend reports them (the fused/sharded backends do): ``pack`` (bit
-    packing, padding, layer stacking), ``select`` (prefix selection
-    kernels / worker dispatch), ``record`` (residual popcounts, depths,
-    record assembly), ``merge`` (dedup, cache traffic, scatter).
-    Trace-planned runs (``plan == "trace"``) add the planner stages
-    ``plan`` (bucket merge / arena fill), ``dedup`` (global content
-    dedup + cache traffic), and ``scatter`` (per-workload scatter-back);
-    the ``compiled`` backend adds ``warmup`` (one-time JIT compilation /
-    cache load, paid once per process);
-    stage times are nested inside the run's wall-clock, so they always
-    sum to at most :attr:`total_seconds`. ``workers`` echoes the process
-    count for sharded runs; ``planned_tiles``/``unique_tiles`` describe
-    the cross-workload dedup for planned runs.
+    ``profile`` breaks the run's wall-clock into the pipeline stages of
+    :data:`~repro.engine.planner.PROFILE_STAGES` — ``pack`` (bit
+    packing), ``plan`` (bucket merge / arena fill), ``dedup`` (global
+    content dedup + cache traffic), ``select`` (prefix selection
+    kernel), ``record`` (residual popcounts, depths, record assembly),
+    ``scatter`` (per-workload scatter-back) — with exactly those keys on
+    batch runs, scheduler batches and stream windows. Stage times are
+    nested inside the run's wall-clock, so they always sum to at most
+    :attr:`total_seconds`. ``plan`` labels the execution scope
+    (``"trace"`` for batch runs, ``"stream"`` for sliding-window
+    streams); ``planned_tiles``/``unique_tiles`` describe the
+    cross-workload dedup.
     """
 
     backend: str
     tile_m: int
     tile_k: int
-    batch: int
     model: str = ""
     dataset: str = ""
     runs: list[WorkloadRun] = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0
-    workers: int | None = None
     profile: dict[str, float] = field(default_factory=dict)
-    plan: str = "matrix"
+    plan: str = "trace"
     planned_tiles: int = 0
     unique_tiles: int = 0
-    #: ``compiled`` backend only: True when records came from the JIT
-    #: kernel, False when it fell back to the fused NumPy path; ``None``
-    #: for backends without a JIT notion.
-    jit_active: bool | None = None
-    #: Supervision deltas for this run (``sharded`` backend): worker
-    #: pools rebuilt after ``BrokenProcessPool`` and kernel dispatches
-    #: retried during the run. Zero for unsupervised backends.
-    pool_rebuilds: int = 0
-    retries: int = 0
-    #: ``sharded`` only: True once the rebuild budget was exhausted and
-    #: the backend fell back to the in-process fused path (mirrors
-    #: ``jit_active`` semantics); ``None`` for unsupervised backends.
-    degraded: bool | None = None
     #: Persistent-store deltas for this run (engines with a
     #: :class:`~repro.engine.store.ResultStore` attached): durable
     #: record hits/misses under the in-memory tier, entries quarantined
@@ -296,7 +272,7 @@ class EngineReport:
     def dedup_ratio(self) -> float:
         """Cross-workload dedup multiplier: planned tiles per unique tile.
 
-        ``0.0`` outside trace-planned runs (no dedup was measured).
+        ``0.0`` when nothing was planned.
         """
         return self.planned_tiles / self.unique_tiles if self.unique_tiles else 0.0
 
@@ -309,40 +285,22 @@ class EngineReport:
 
 
 class ProsperityEngine:
-    """Batched, backend-pluggable ProSparsity execution engine.
+    """Trace-planned, cache-aware ProSparsity execution engine.
 
     .. note:: Direct construction is the low-level path and remains
        supported, but :class:`repro.api.Session` is the canonical entry
        point: it builds this engine from a typed
-       :class:`~repro.api.RunConfig` and shares one backend (and sharded
-       pool) across runs, simulations, and sweeps.
+       :class:`~repro.api.RunConfig` and shares one engine (and forest
+       cache) across runs, simulations, and sweeps.
 
     Parameters
     ----------
     backend:
-        Backend name (``"reference"`` / ``"vectorized"`` / ``"fused"`` /
-        ``"sharded"``) or instance; :data:`~repro.engine.backends.
-        DEFAULT_BACKEND` (``"fused"``) by default.
+        Backend name (``"fused"`` / ``"reference"``) or instance;
+        :data:`~repro.engine.backends.DEFAULT_BACKEND` (``"fused"``) by
+        default.
     cache_size:
         LRU capacity in distinct tile contents; ``0`` disables caching.
-    workers:
-        Process count for the ``sharded`` backend (rejected by backends
-        that do not take it; ``None`` leaves the backend default).
-    backend_options:
-        Extra constructor options for name-constructed backends (e.g.
-        the ``sharded`` supervision knobs ``max_rebuilds``/``degrade``
-        from the ``[resilience]`` config section). ``None`` values are
-        dropped; options a backend does not accept are rejected with
-        the same typed error as :func:`~repro.engine.backends.
-        get_backend`. Ignored for caller-supplied instances.
-    plan:
-        Execution-planning mode: ``"matrix"`` batches per matrix (the
-        classic fused path), ``"trace"`` routes whole-trace runs and
-        GeMM execution through the :class:`~repro.engine.planner.
-        TracePlanner` — cross-workload shape buckets, one global content
-        dedup per bucket, arena-backed buffers reused across runs
-        (:data:`~repro.engine.planner.DEFAULT_PLAN`). Records are
-        bit-identical either way.
     store:
         Optional :class:`~repro.engine.store.ResultStore` layered under
         the in-memory cache: record misses consult it before the kernel
@@ -359,9 +317,6 @@ class ProsperityEngine:
         tile_m: int = DEFAULT_TILE_M,
         tile_k: int = DEFAULT_TILE_K,
         cache_size: int = 1024,
-        workers: int | None = None,
-        plan: str = DEFAULT_PLAN,
-        backend_options: dict | None = None,
         store=None,
     ):
         validate_tile_shape(tile_m, tile_k)
@@ -369,8 +324,7 @@ class ProsperityEngine:
         # ours to close; caller-supplied instances stay open for their
         # other users.
         self._owns_backend = not isinstance(backend, Backend)
-        options = dict(backend_options or {}) if self._owns_backend else {}
-        self.backend = get_backend(backend, workers=workers, **options)
+        self.backend = get_backend(backend)
         self.tile_m = tile_m
         self.tile_k = tile_k
         self.store = store
@@ -380,16 +334,15 @@ class ProsperityEngine:
             self.cache = ForestCache(1, store=store)
         else:
             self.cache = None
-        self.plan = validate_plan_mode(plan)
         self.planner = TracePlanner()
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
         """Release engine resources: arena slabs always, and the
-        backend (e.g. the sharded worker pool) when this engine
-        constructed it from a name — shared instances stay open.
-        Idempotent, and safe against a concurrently executing plan
-        (the arena is only dropped once the planner is quiescent)."""
+        backend when this engine constructed it from a name — shared
+        instances stay open. Idempotent, and safe against a concurrently
+        executing plan (the arena is only dropped once the planner is
+        quiescent)."""
         with self.planner.exclusive():
             self.planner.arena.clear()
         if self._owns_backend:
@@ -412,15 +365,17 @@ class ProsperityEngine:
             self.cache.put_forest(tile, forest)
         return forest
 
-    def _tile_record_cached(self, tile: SpikeTile) -> tuple[int, ...]:
-        if self.cache is not None:
-            record = self.cache.get_record(tile.m, tile.k, tile.packed)
-            if record is not None:
-                return record
-        record = self.backend.tile_record(tile)
-        if self.cache is not None:
-            self.cache.put_record(tile.m, tile.k, tile.packed, record)
-        return record
+    @staticmethod
+    def _matrices(trace: ModelTrace | list) -> list[SpikeMatrix]:
+        workloads = trace.workloads if isinstance(trace, ModelTrace) else trace
+        matrices = [
+            workload.spikes if hasattr(workload, "spikes") else workload
+            for workload in workloads
+        ]
+        return [
+            matrix if isinstance(matrix, SpikeMatrix) else SpikeMatrix(matrix)
+            for matrix in matrices
+        ]
 
     # ------------------------------------------------------------------
     def transform_matrix(
@@ -431,68 +386,45 @@ class ProsperityEngine:
         keep_transforms: bool = False,
         max_tiles: int | None = None,
         rng: np.random.Generator | None = None,
-        plan: str | None = None,
     ) -> ProSparsityResult:
         """Drop-in, cache-aware equivalent of ``core.transform_matrix``.
 
         Records, statistics, and (when kept) forests are bit-identical to
-        the core path for every backend and plan mode; sampling draws the
-        same RNG sequence so sampled runs match the core path tile for
-        tile. ``plan`` overrides the engine's planning mode per call.
+        the core path; sampling draws the same RNG sequence so sampled
+        runs match the core path tile for tile.
         """
-        plan = self.plan if plan is None else validate_plan_mode(plan)
+        if keep_transforms:
+            return self._transform_kept(matrix, tile_m, tile_k, max_tiles, rng)
+        return self.transform_trace([matrix], tile_m, tile_k, max_tiles, rng)[0]
+
+    def _transform_kept(self, matrix, tile_m, tile_k, max_tiles, rng):
+        """Per-tile path that keeps every forest and dispatch plan."""
         tile_m = self.tile_m if tile_m is None else tile_m
         tile_k = self.tile_k if tile_k is None else tile_k
         validate_tile_shape(tile_m, tile_k)
-        if not isinstance(matrix, SpikeMatrix):
-            matrix = SpikeMatrix(matrix)
+        (matrix,) = self._matrices([matrix])
         result = ProSparsityResult()
-
         total_tiles = matrix.num_tiles(tile_m, tile_k)
-        sampled = max_tiles is not None and total_tiles > max_tiles
-        if sampled:
+        if max_tiles is not None and total_tiles > max_tiles:
             if rng is None:
                 rng = np.random.default_rng(0)
             tiles = _sample_tiles(matrix, tile_m, tile_k, max_tiles, rng)
             fraction = len(tiles) / total_tiles
         else:
+            tiles = matrix.tile(tile_m, tile_k)
             fraction = 1.0
-
-        if keep_transforms:
-            tile_iter = tiles if sampled else matrix.tile(tile_m, tile_k)
-            records: list[tuple[int, ...]] = []
-            for tile in tile_iter:
-                forest = self._forest_for(tile)
-                dispatch = build_dispatch_plan(forest)
-                result.transforms.append(
-                    TileTransform(tile=tile, forest=forest, plan=dispatch)
-                )
-                records.append(forest_record(forest))
-            record_array = np.array(records, dtype=np.int64).reshape(
-                len(records), len(TILE_RECORD_FIELDS)
+        records: list[tuple[int, ...]] = []
+        for tile in tiles:
+            forest = self._forest_for(tile)
+            dispatch = build_dispatch_plan(forest)
+            result.transforms.append(
+                TileTransform(tile=tile, forest=forest, plan=dispatch)
             )
-        elif plan == "trace":
-            # Planner path: sampled tiles and whole matrices land in the
-            # same shape buckets, so sampling composes with the dedup.
-            # exclusive() keeps the plan's arena views valid against
-            # concurrent planner users (the serving scheduler).
-            source = tiles if sampled else matrix
-            with self.planner.exclusive():
-                trace_plan = self.planner.plan([source], tile_m, tile_k)
-                record_array = self.planner.execute(
-                    trace_plan, self.backend, cache=self.cache
-                )[0]
-        elif sampled:
-            records = [self._tile_record_cached(tile) for tile in tiles]
-            record_array = np.array(records, dtype=np.int64).reshape(
-                len(records), len(TILE_RECORD_FIELDS)
-            )
-        else:
-            record_array = self.backend.matrix_records(
-                matrix, tile_m, tile_k, cache=self.cache
-            )
-        result.tile_records = record_array
-        result.stats = stats_from_records(record_array, sample_fraction=fraction)
+            records.append(forest_record(forest))
+        result.tile_records = np.array(records, dtype=np.int64).reshape(
+            len(records), len(TILE_RECORD_FIELDS)
+        )
+        result.stats = stats_from_records(result.tile_records, sample_fraction=fraction)
         return result
 
     # ------------------------------------------------------------------
@@ -503,47 +435,28 @@ class ProsperityEngine:
         tile_k: int | None = None,
         max_tiles: int | None = None,
         rng: np.random.Generator | None = None,
-        plan: str | None = None,
     ) -> list[ProSparsityResult]:
         """Transform every workload of a trace, one result per workload.
 
-        Under ``plan="trace"`` the whole trace is packed into one
-        cross-workload plan (one kernel per shape bucket, one global
-        dedup); under ``plan="matrix"`` this is a plain per-workload
-        loop. Both draw the same RNG sequence for ``max_tiles`` sampling
-        — workloads are visited in order and only sampled workloads
-        consume draws — so records are bit-identical across modes.
-        Entries may be :class:`GeMMWorkload` or bare ``SpikeMatrix``.
+        The whole trace is packed into one cross-workload plan (one
+        kernel per shape bucket, one global dedup). ``max_tiles``
+        sampling draws the same RNG sequence as a per-workload loop over
+        ``core.transform_matrix`` — workloads are visited in order and
+        only sampled workloads consume draws — so records are
+        bit-identical to it. Entries may be :class:`GeMMWorkload` or
+        bare ``SpikeMatrix``.
         """
-        plan = self.plan if plan is None else validate_plan_mode(plan)
         tile_m = self.tile_m if tile_m is None else tile_m
         tile_k = self.tile_k if tile_k is None else tile_k
         validate_tile_shape(tile_m, tile_k)
-        workloads = list(trace.workloads if isinstance(trace, ModelTrace) else trace)
-        matrices = [
-            workload.spikes if hasattr(workload, "spikes") else workload
-            for workload in workloads
-        ]
-        matrices = [
-            matrix if isinstance(matrix, SpikeMatrix) else SpikeMatrix(matrix)
-            for matrix in matrices
-        ]
-        if plan != "trace":
-            return [
-                self.transform_matrix(
-                    matrix, tile_m, tile_k, max_tiles=max_tiles, rng=rng,
-                    plan=plan,
-                )
-                for matrix in matrices
-            ]
         sources: list = []
         fractions: list[float] = []
-        for matrix in matrices:
+        for matrix in self._matrices(trace):
             total_tiles = matrix.num_tiles(tile_m, tile_k)
             if max_tiles is not None and total_tiles > max_tiles:
-                # rng=None mirrors transform_matrix exactly: that path
-                # seeds a fresh default_rng(0) per *workload*, so the
-                # trace plan must too or sampled tiles would diverge.
+                # rng=None mirrors core.transform_matrix exactly: that
+                # path seeds a fresh default_rng(0) per *workload*, so
+                # the trace plan must too or sampled tiles would diverge.
                 workload_rng = (
                     rng if rng is not None else np.random.default_rng(0)
                 )
@@ -555,6 +468,8 @@ class ProsperityEngine:
             else:
                 sources.append(matrix)
                 fractions.append(1.0)
+        # exclusive() keeps the plan's arena views valid against
+        # concurrent planner users (the serving scheduler).
         with self.planner.exclusive():
             trace_plan = self.planner.plan(sources, tile_m, tile_k)
             per_workload = self.planner.execute(
@@ -569,53 +484,9 @@ class ProsperityEngine:
         return results
 
     # ------------------------------------------------------------------
-    def _batch_groups(
-        self, workloads: list[GeMMWorkload], batch: int
-    ) -> list[list[GeMMWorkload]]:
-        """Group consecutive workloads that can be stacked into one matrix.
-
-        Workloads stack only when they share K and every member except
-        the last is tile-row aligned — then the stacked tiling is exactly
-        the concatenation of the per-workload tilings.
-        """
-        groups: list[list[GeMMWorkload]] = []
-        current: list[GeMMWorkload] = []
-        for workload in workloads:
-            joinable = (
-                current
-                and len(current) < batch
-                and workload.k == current[0].k
-            )
-            if not joinable:
-                if current:
-                    groups.append(current)
-                current = [workload]
-            else:
-                current.append(workload)
-            if workload.m % self.tile_m != 0:
-                groups.append(current)
-                current = []
-        if current:
-            groups.append(current)
-        return groups
-
-    def run(
-        self,
-        trace: ModelTrace | list[GeMMWorkload],
-        batch: int = 1,
-        plan: str | None = None,
-    ) -> EngineReport:
-        """Transform a whole trace, batching stackable layers/timesteps.
-
-        ``plan`` overrides the engine's planning mode for this run:
-        ``"trace"`` packs the entire trace into cross-workload shape
-        buckets (one kernel launch and one global content dedup per
-        bucket), ``"matrix"`` is the per-matrix fused path. Records are
-        bit-identical either way; ``batch`` only affects matrix mode.
-        """
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
-        plan = self.plan if plan is None else validate_plan_mode(plan)
+    def run(self, trace: ModelTrace | list[GeMMWorkload]) -> EngineReport:
+        """Transform a whole trace: one cross-workload plan, one kernel
+        launch and one global content dedup per shape bucket."""
         if isinstance(trace, ModelTrace):
             workloads = list(trace.workloads)
             model, dataset = trace.model, trace.dataset
@@ -626,128 +497,14 @@ class ProsperityEngine:
             backend=self.backend.name,
             tile_m=self.tile_m,
             tile_k=self.tile_k,
-            batch=batch,
             model=model,
             dataset=dataset,
-            workers=getattr(self.backend, "workers", None),
-            plan=plan,
-            jit_active=getattr(self.backend, "jit_active", None),
         )
         hits0 = self.cache.hits if self.cache else 0
         misses0 = self.cache.misses if self.cache else 0
         store0 = self.store.counters() if self.store is not None else {}
         profile0 = dict(getattr(self.backend, "profile", None) or {})
-        counters0 = self.backend.failure_counters()
-        if plan == "trace":
-            self._run_planned(workloads, report, profile0)
-        else:
-            self._run_batched(workloads, batch, report, profile0)
-        if self.cache:
-            report.cache_hits = self.cache.hits - hits0
-            report.cache_misses = self.cache.misses - misses0
-        if self.store is not None:
-            # Store counters are process-lifetime totals; the report
-            # carries this run's deltas, same as the cache tier above.
-            store1 = self.store.counters()
-            report.store_hits = store1["store_hits"] - store0["store_hits"]
-            report.store_misses = store1["store_misses"] - store0["store_misses"]
-            report.store_corrupt = store1["store_corrupt"] - store0["store_corrupt"]
-            report.store_evictions = (
-                store1["store_evictions"] - store0["store_evictions"]
-            )
-            report.store_active = self.store.enabled
-            # Publish this run's new entries in the background now that
-            # the kernels are done (puts buffer during the run to keep
-            # writer IO off the compute path).
-            self.store.kick()
-        # Re-read after the run: a failed first JIT dispatch degrades the
-        # compiled backend to its fallback mid-run, and the report should
-        # describe what actually executed.
-        report.jit_active = getattr(self.backend, "jit_active", None)
-        # Supervision counters are backend-lifetime totals; the report
-        # carries this run's deltas (degraded is a state, not a delta).
-        counters1 = self.backend.failure_counters()
-        if counters1:
-            report.pool_rebuilds = counters1.get("pool_rebuilds", 0) - counters0.get(
-                "pool_rebuilds", 0
-            )
-            report.retries = counters1.get("retries", 0) - counters0.get("retries", 0)
-            report.degraded = counters1.get("degraded")
-        return report
-
-    def _run_batched(
-        self,
-        workloads: list[GeMMWorkload],
-        batch: int,
-        report: EngineReport,
-        profile0: dict[str, float],
-    ) -> None:
-        """Per-matrix path: stack consecutive same-K layers, scatter back."""
-        stack_seconds = 0.0
-        scatter_seconds = 0.0
-        for group in self._batch_groups(workloads, batch):
-            start = time.perf_counter()
-            if len(group) == 1:
-                stacked = group[0].spikes
-            else:
-                stacked = SpikeMatrix(
-                    np.vstack([w.spikes.bits for w in group])
-                )
-            stack_seconds += time.perf_counter() - start
-            records = self.backend.matrix_records(
-                stacked, self.tile_m, self.tile_k, cache=self.cache
-            )
-            # Scatter stacked records back to their workloads. The
-            # scatter happens *inside* the timed window so per-stage
-            # profile times always sum to <= the run's wall-clock.
-            scatter_start = time.perf_counter()
-            col_tiles = -(-group[0].k // self.tile_k)
-            offset = 0
-            total = len(records)
-            chunks = []
-            for workload in group:
-                count = -(-workload.m // self.tile_m) * col_tiles
-                chunk = records[offset : offset + count]
-                offset += count
-                chunks.append((workload, chunk, stats_from_records(chunk)))
-            if offset != total:
-                raise RuntimeError(
-                    f"batch scatter mismatch: {offset} records assigned, {total} produced"
-                )
-            scatter_seconds += time.perf_counter() - scatter_start
-            elapsed = time.perf_counter() - start
-            for workload, chunk, stats in chunks:
-                report.runs.append(
-                    WorkloadRun(
-                        name=workload.name,
-                        kind=workload.kind,
-                        tiles=len(chunk),
-                        records=chunk,
-                        stats=stats,
-                        seconds=elapsed * (len(chunk) / total) if total else 0.0,
-                    )
-                )
-        backend_profile = getattr(self.backend, "profile", None)
-        if backend_profile:
-            report.profile = {
-                stage: seconds - profile0.get(stage, 0.0)
-                for stage, seconds in backend_profile.items()
-            }
-            # Engine-side batching overhead folds into the same stages:
-            # layer stacking prepares input (pack), scatter is merge.
-            report.profile["pack"] = report.profile.get("pack", 0.0) + stack_seconds
-            report.profile["merge"] = (
-                report.profile.get("merge", 0.0) + scatter_seconds
-            )
-
-    def _run_planned(
-        self,
-        workloads: list[GeMMWorkload],
-        report: EngineReport,
-        profile0: dict[str, float],
-    ) -> None:
-        """Trace path: one cross-workload plan, one kernel per bucket."""
-        profile = {stage: 0.0 for stage in PLANNED_PROFILE_STAGES}
+        profile = {stage: 0.0 for stage in PROFILE_STAGES}
         start = time.perf_counter()
         with self.planner.exclusive():
             trace_plan = self.planner.plan(
@@ -781,15 +538,26 @@ class ProsperityEngine:
             )
         report.planned_tiles = trace_plan.total_tiles
         report.unique_tiles = trace_plan.unique_tiles
-        backend_profile = getattr(self.backend, "profile", None)
-        if backend_profile:
-            # Kernel stages (select/record) accumulate inside the
-            # backend; fold in the delta since the run started.
-            for stage, seconds in backend_profile.items():
-                profile[stage] = (
-                    profile.get(stage, 0.0) + seconds - profile0.get(stage, 0.0)
-                )
-        report.profile = profile
+        report.profile = fold_kernel_profile(profile, self.backend, profile0)
+        if self.cache:
+            report.cache_hits = self.cache.hits - hits0
+            report.cache_misses = self.cache.misses - misses0
+        if self.store is not None:
+            # Store counters are process-lifetime totals; the report
+            # carries this run's deltas, same as the cache tier above.
+            store1 = self.store.counters()
+            report.store_hits = store1["store_hits"] - store0["store_hits"]
+            report.store_misses = store1["store_misses"] - store0["store_misses"]
+            report.store_corrupt = store1["store_corrupt"] - store0["store_corrupt"]
+            report.store_evictions = (
+                store1["store_evictions"] - store0["store_evictions"]
+            )
+            report.store_active = self.store.enabled
+            # Publish this run's new entries in the background now that
+            # the kernels are done (puts buffer during the run to keep
+            # writer IO off the compute path).
+            self.store.kick()
+        return report
 
     # ------------------------------------------------------------------
     def execute_gemm(
@@ -801,13 +569,12 @@ class ProsperityEngine:
     ) -> np.ndarray:
         """Lossless spiking GeMM through the configured backend.
 
-        Same contract as ``core.execute_gemm``; repeated tile contents
-        reuse cached forests. Under ``plan="trace"`` tiles route through
-        the planner's shape buckets: each *distinct* tile content builds
-        its forest once per GeMM (content dedup on top of the cache) and
-        partial sums still accumulate in row-major tile order, so
-        outputs match the per-tile path exactly (integer weights) or up
-        to float summation order, same as every backend pair.
+        Same contract as ``core.execute_gemm``. Tiles route through the
+        planner's shape buckets: each *distinct* tile content builds its
+        forest once per GeMM (content dedup on top of the cache), and
+        partial sums accumulate in row-major tile order, so outputs
+        match the core path exactly (integer weights) or up to float
+        summation order.
         """
         tile_m = self.tile_m if tile_m is None else tile_m
         tile_k = self.tile_k if tile_k is None else tile_k
@@ -824,28 +591,6 @@ class ProsperityEngine:
             np.int64 if np.issubdtype(weights.dtype, np.integer) else np.float64
         )
         output = np.zeros((spike_matrix.rows, weights.shape[1]), dtype=out_dtype)
-        if self.plan == "trace":
-            self._execute_gemm_planned(
-                spike_matrix, weights, tile_m, tile_k, output
-            )
-            return output
-        for tile in spike_matrix.tile(tile_m, tile_k):
-            forest = self._forest_for(tile)
-            w_slice = weights[tile.coord.col_start : tile.coord.col_start + tile.k]
-            partial = self.backend.execute(forest, w_slice)
-            rows = slice(tile.coord.row_start, tile.coord.row_start + tile.m)
-            output[rows] += partial
-        return output
-
-    def _execute_gemm_planned(
-        self,
-        spike_matrix: SpikeMatrix,
-        weights: np.ndarray,
-        tile_m: int,
-        tile_k: int,
-        output: np.ndarray,
-    ) -> None:
-        """Planner-bucketed GeMM: one forest per distinct tile content."""
         col_tiles = -(-spike_matrix.cols // tile_k)
         with self.planner.exclusive():
             trace_plan = self.planner.plan([spike_matrix], tile_m, tile_k)
@@ -867,13 +612,14 @@ class ProsperityEngine:
                     col_start = (position % col_tiles) * tile_k
                     w_slice = weights[col_start : col_start + bucket.k]
                     partials[position] = self.backend.execute(forest, w_slice)
-        # Accumulate in row-major tile order — the per-tile path's
-        # float summation order, independent of bucket iteration.
+        # Accumulate in row-major tile order — the core path's float
+        # summation order, independent of bucket iteration.
         for position, partial in enumerate(partials):
             if partial is None:
                 raise RuntimeError(f"planned GeMM left tile {position} unexecuted")
             row_start = (position // col_tiles) * tile_m
             output[row_start : row_start + partial.shape[0]] += partial
+        return output
 
     # ------------------------------------------------------------------
     def verify_trace(
@@ -882,18 +628,13 @@ class ProsperityEngine:
         max_tiles: int | None = None,
         seed: int = 0,
     ) -> bool:
-        """Check this backend's records against the reference oracle.
+        """Check this engine's records against the :mod:`repro.core` oracle.
 
-        Both sides draw their tile samples from identically seeded RNGs,
-        so sampled runs compare the very same tiles.
+        The oracle is ``core.transform_matrix`` itself — per-tile forests,
+        no planner, no cache — so a planner or kernel bug cannot pass on
+        both sides. Both sides draw their tile samples from identically
+        seeded RNGs, so sampled runs compare the very same tiles.
         """
-        oracle = ProsperityEngine(
-            backend=ReferenceBackend(),
-            tile_m=self.tile_m,
-            tile_k=self.tile_k,
-            cache_size=0,
-            plan="matrix",
-        )
         workloads = trace.workloads if isinstance(trace, ModelTrace) else trace
         for workload in workloads:
             mine = self.transform_matrix(
@@ -901,11 +642,28 @@ class ProsperityEngine:
                 max_tiles=max_tiles,
                 rng=np.random.default_rng(seed),
             )
-            theirs = oracle.transform_matrix(
+            theirs = core.transform_matrix(
                 workload.spikes,
+                self.tile_m,
+                self.tile_k,
+                keep_transforms=False,
                 max_tiles=max_tiles,
                 rng=np.random.default_rng(seed),
             )
             if not np.array_equal(mine.tile_records, theirs.tile_records):
                 return False
         return True
+
+
+def fold_kernel_profile(
+    profile: dict[str, float], backend: Backend, profile0: dict[str, float]
+) -> dict[str, float]:
+    """Add the backend's kernel-stage time since ``profile0`` to ``profile``.
+
+    The fused backend books ``select``/``record`` into its own lifetime
+    ``profile`` dict; a run's share is the delta from the snapshot taken
+    when the run started.
+    """
+    for stage, seconds in (getattr(backend, "profile", None) or {}).items():
+        profile[stage] += seconds - profile0.get(stage, 0.0)
+    return profile

@@ -1,13 +1,14 @@
 """Trace-level execution planner: cross-workload tile batching.
 
-The fused backend (:mod:`repro.engine.fused`) batches all same-shape
-tiles — but only within one matrix, so every ``transform_matrix`` call
-re-packs, re-dedups, and launches kernels per workload, and small
-matrices never fill a batch. SNN traces are highly redundant *across*
-workloads too: the same spike tile recurs across timesteps and layers
-(the temporal analogue of the product-sparsity reuse Prosperity exploits
+The fused backend (:mod:`repro.engine.fused`) computes records for a
+stack of same-shape tiles in one kernel launch; the planner decides what
+goes into each stack. SNN traces are highly redundant *across*
+workloads: the same spike tile recurs across timesteps and layers (the
+temporal analogue of the product-sparsity reuse Prosperity exploits
 spatially, as MINT-style temporal-overlap work observes). The planner
-therefore lifts batching to *trace* scope:
+therefore batches at *trace* scope — every engine entry point
+(``run``, ``transform_matrix``, ``transform_trace``, ``execute_gemm``)
+goes through it:
 
 * **Shape-bucketed packing.** Every tile of every workload is packed
   once and merged into one bucket per ``(m, k)`` tile shape, spanning
@@ -18,8 +19,8 @@ therefore lifts batching to *trace* scope:
   whole (:func:`~repro.engine.fused.dedup_tiles` over raw packed
   bytes), so a tile repeated across timesteps or layers is computed
   once per *trace*, not once per matrix. The dedup composes with the
-  engine's :class:`~repro.engine.pipeline.ForestCache` exactly like the
-  per-matrix fused path: one digest per unique content.
+  engine's :class:`~repro.engine.pipeline.ForestCache`: one digest per
+  unique content.
 * **Buffer-arena reuse.** Bucket stacks (codes, popcounts, raw bytes,
   scatter indices) live in a :class:`BufferArena` — a shape-keyed,
   capacity-doubling slab pool owned by the planner and reused across
@@ -39,16 +40,16 @@ therefore lifts batching to *trace* scope:
   reuse composes with cross-workload dedup for free.
 
 Records are scattered back to per-workload row-major tile order and are
-bit-identical to the per-matrix path for every backend and worker
-count: the batched kernels compute each tile's record independently of
-its stack neighbours (pinned by the sharded worker-count equivalence
-tests), so bucket composition cannot change results.
+bit-identical to the per-tile :mod:`repro.core` transform: the batched
+kernels compute each tile's record independently of its stack
+neighbours, so bucket composition cannot change results.
 
-Per-stage wall-clock accumulates under ``pack`` (per-workload bit
-packing), ``plan`` (bucket merge / arena fill), ``dedup`` (global
-content dedup + cache traffic), and ``scatter`` (writing records back
-in workload order); the kernel's own ``select``/``record`` stages keep
-their existing meaning.
+Per-stage wall-clock accumulates under :data:`PROFILE_STAGES`: ``pack``
+(per-workload bit packing), ``plan`` (bucket merge / arena fill),
+``dedup`` (global content dedup + cache traffic), ``select`` / ``record``
+(the backend kernel: prefix selection, then residual popcounts, depths
+and record assembly), and ``scatter`` (writing records back in workload
+order).
 """
 
 from __future__ import annotations
@@ -71,44 +72,18 @@ from repro.engine.fused import (
 from repro.utils.bitops import popcount_rows
 
 __all__ = [
-    "PLAN_MODES",
-    "PLANNED_PROFILE_STAGES",
-    "DEFAULT_PLAN",
+    "PROFILE_STAGES",
     "BufferArena",
     "PlanBucket",
     "TracePlan",
     "TracePlanner",
-    "validate_plan_mode",
 ]
 
-#: Execution-planning modes: ``matrix`` (per-matrix fused batching, the
-#: PR 2 behaviour) and ``trace`` (cross-workload planner batching).
-PLAN_MODES = ("matrix", "trace")
-
-#: The planning mode every entry point uses unless told otherwise.
-DEFAULT_PLAN = "trace"
-
-#: Profile stage keys a trace-planned engine run may report, in
-#: pipeline order. ``pack``/``select``/``record``/``merge`` keep their
-#: per-matrix meaning; ``plan``/``dedup``/``scatter`` are planner-only.
-PLANNED_PROFILE_STAGES = (
-    "pack",
-    "plan",
-    "dedup",
-    "select",
-    "record",
-    "scatter",
-    "merge",
-)
+#: The profile stage keys of every engine report (batch runs, scheduler
+#: batches and stream windows alike), in pipeline order.
+PROFILE_STAGES = ("pack", "plan", "dedup", "select", "record", "scatter")
 
 _NFIELDS = len(TILE_RECORD_FIELDS)
-
-
-def validate_plan_mode(plan: str) -> str:
-    """Reject unknown plan modes with the available choices."""
-    if plan not in PLAN_MODES:
-        raise ValueError(f"unknown plan mode {plan!r}; expected one of {PLAN_MODES}")
-    return plan
 
 
 def _add_stage(profile: dict[str, float] | None, stage: str, seconds: float) -> None:
@@ -393,7 +368,7 @@ class TracePlanner:
 
         Returns one ``(tiles, len(TILE_RECORD_FIELDS))`` array per
         planned workload, in the workload's own tile order —
-        bit-identical to running the backend per matrix. The returned
+        bit-identical to the per-tile core transform. The returned
         arrays are freshly allocated (never arena-backed), so they stay
         valid across later plans.
 
@@ -454,17 +429,14 @@ class TracePlanner:
     ) -> np.ndarray:
         """Records for one bucket's full stack: cache, one kernel, expand.
 
-        The trace-scope twin of ``FusedBackend._group_records`` — both
-        share :func:`~repro.engine.fused.cached_unique_records` for the
-        cache protocol. The kernel runs once over the cache-missing
-        unique stack, through the backend's ``_compute_records``
-        sharding seam when it has one (the sharded backend then splits
-        whole buckets across its workers); per-tile backends fall back
-        to reconstructed tiles. Cache traffic books under ``dedup``.
+        The kernel runs once over the cache-missing unique stack,
+        through the backend's batched ``_compute_records`` when it has
+        one (``fused``); the per-tile ``reference`` oracle falls back to
+        reconstructed tiles. Cache traffic books under ``dedup``.
         """
         kernel = getattr(backend, "_compute_records", None)
         if kernel is not None:
-            # Fused-family backends time select/record themselves.
+            # The fused backend times select/record itself.
             def compute(rows: np.ndarray) -> np.ndarray:
                 return kernel(bucket.codes[rows], bucket.popcounts[rows], bucket.k)
         else:
@@ -493,9 +465,9 @@ class TracePlanner:
 
     @staticmethod
     def _tiles_from_raw(bucket: PlanBucket, rows: np.ndarray):
-        """Rebuild :class:`SpikeTile` objects for per-tile backends.
+        """Rebuild :class:`SpikeTile` objects for per-tile entry points.
 
-        Only the reference/vectorized per-tile entry points need real
+        The reference backend and planned GeMM execution need real
         tiles; the fused kernels consume the packed stacks directly.
         """
         for i in rows:

@@ -21,7 +21,7 @@ __all__ = ["LatencyHistogram", "ServerMetrics"]
 
 #: Upper bounds (milliseconds) of the latency buckets; the last bucket
 #: is open-ended. Log-scale: serving latencies span 1 ms cache hits to
-#: multi-second cold sharded batches.
+#: multi-second cold batches.
 BUCKET_BOUNDS_MS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000)
 
 

@@ -136,10 +136,8 @@ def encode_result(result: RunResult, records_mode: str) -> dict:
             "plan": report.plan,
             "tile_m": report.tile_m,
             "tile_k": report.tile_k,
-            "batch": report.batch,
             "model": report.model,
             "dataset": report.dataset,
-            "workers": report.workers,
             "planned_tiles": report.planned_tiles,
             "unique_tiles": report.unique_tiles,
             "cache_hits": report.cache_hits,

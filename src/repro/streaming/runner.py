@@ -30,7 +30,9 @@ cross-stream dedup ride the same content-digest tiers (memory
 :class:`~repro.engine.pipeline.ForestCache`, then the persistent
 :class:`~repro.engine.store.ResultStore`) as batch runs. A stalled
 source (see the ``stream_stall`` fault kind) surfaces as
-:class:`StreamStalledError` after ``stall_timeout_s``.
+:class:`StreamStalledError` after ``stall_timeout_s``. The stream's
+report carries the same profile stage keys as a batch run
+(:data:`~repro.engine.planner.PROFILE_STAGES`), summed over windows.
 """
 
 from __future__ import annotations
@@ -48,8 +50,10 @@ from repro.engine.faults import stream_fault
 from repro.engine.pipeline import (
     EngineReport,
     WorkloadRun,
+    fold_kernel_profile,
     stats_from_records,
 )
+from repro.engine.planner import PROFILE_STAGES
 from repro.streaming.source import StreamSource
 
 __all__ = [
@@ -321,18 +325,15 @@ class StreamRunner:
             backend=engine.backend.name,
             tile_m=engine.tile_m,
             tile_k=engine.tile_k,
-            batch=1,
             model=source.name,
             dataset="stream",
-            workers=getattr(engine.backend, "workers", None),
             plan="stream",
-            jit_active=getattr(engine.backend, "jit_active", None),
         )
         hits0 = engine.cache.hits if engine.cache else 0
         misses0 = engine.cache.misses if engine.cache else 0
         store0 = engine.store.counters() if engine.store is not None else {}
         backend_profile0 = dict(getattr(engine.backend, "profile", None) or {})
-        profile: dict[str, float] = {}
+        profile = {stage: 0.0 for stage in PROFILE_STAGES}
         # One records list per workload, concatenated into the final
         # report — across chunks they reproduce the batch record arrays.
         records: list[list[np.ndarray]] = [[] for _ in source.workloads]
@@ -407,16 +408,7 @@ class StreamRunner:
                 store1["store_evictions"] - store0["store_evictions"]
             )
             report.store_active = engine.store.enabled
-        backend_profile = getattr(engine.backend, "profile", None)
-        if backend_profile:
-            for stage, stage_seconds in backend_profile.items():
-                profile[stage] = (
-                    profile.get(stage, 0.0)
-                    + stage_seconds
-                    - backend_profile0.get(stage, 0.0)
-                )
-        report.profile = profile
-        report.jit_active = getattr(engine.backend, "jit_active", None)
+        report.profile = fold_kernel_profile(profile, engine.backend, backend_profile0)
         return StreamResult(report=report, windows=windows, steps=source.steps)
 
     def _execute_window(

@@ -8,13 +8,12 @@ import pytest
 
 from repro.api import RunConfig
 from repro.api.config import tomllib
-from repro.engine import get_backend
 
 
 class TestValidation:
     def test_defaults_are_valid(self):
         cfg = RunConfig()
-        assert (cfg.engine.backend, cfg.engine.plan) == ("fused", "trace")
+        assert cfg.engine.backend == "fused"
         assert cfg.workload.model == "vgg16"
 
     def test_unknown_backend(self):
@@ -22,45 +21,25 @@ class TestValidation:
             RunConfig().with_overrides({"engine.backend": "bogus"})
 
     def test_workers_on_non_sharded_backend(self):
-        with pytest.raises(ValueError, match="does not accept"):
-            RunConfig().with_overrides(
-                {"engine.backend": "vectorized", "engine.workers": 2}
-            )
-
-    def test_workers_rejection_wording_matches_backend_layer(self):
-        """Satellite contract: config-time and construction-time rejection
-        of ``workers`` raise the identical ValueError wording."""
-        with pytest.raises(ValueError) as config_err:
+        """Execution is in-process: no backend takes a worker count."""
+        with pytest.raises(ValueError, match="unknown key.*'workers'"):
             RunConfig().with_overrides(
                 {"engine.backend": "fused", "engine.workers": 2}
             )
-        with pytest.raises(ValueError) as backend_err:
-            get_backend("fused", workers=2)
-        assert str(config_err.value) == str(backend_err.value)
-
-    def test_workers_on_sharded_accepted(self):
-        cfg = RunConfig().with_overrides(
-            {"engine.backend": "sharded", "engine.workers": 2}
-        )
-        assert cfg.engine.workers == 2
-
-    def test_workers_below_one(self):
-        with pytest.raises(ValueError, match="workers must be >= 1"):
-            RunConfig().with_overrides(
-                {"engine.backend": "sharded", "engine.workers": 0}
-            )
 
     def test_bad_plan(self):
-        with pytest.raises(ValueError, match="unknown plan mode"):
-            RunConfig().with_overrides({"engine.plan": "bogus"})
+        """There is one plan, so ``engine.plan`` is no config key."""
+        with pytest.raises(ValueError, match="unknown key.*'plan'"):
+            RunConfig().with_overrides({"engine.plan": "matrix"})
 
     def test_bad_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):
             RunConfig().with_overrides({"workload.preset": "huge"})
 
     def test_bad_batch(self):
-        with pytest.raises(ValueError, match="batch must be >= 1"):
-            RunConfig().with_overrides({"engine.batch": 0})
+        """The planner batches the whole trace; ``engine.batch`` is gone."""
+        with pytest.raises(ValueError, match="unknown key.*'batch'"):
+            RunConfig.from_dict({"engine": {"batch": 8}})
 
     def test_bad_tile_shape(self):
         with pytest.raises(ValueError):
@@ -114,13 +93,10 @@ class TestValidation:
 class TestDictRoundTrip:
     def test_to_dict_from_dict_identity(self):
         cfg = RunConfig().with_overrides(
-            {"engine.backend": "sharded", "engine.workers": 3,
+            {"engine.backend": "reference", "engine.cache_size": 0,
              "workload.model": "lenet5", "sweep.k_values": (8, 16)}
         )
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
-
-    def test_to_dict_drops_none(self):
-        assert "workers" not in RunConfig().to_dict()["engine"]
 
     def test_unknown_section(self):
         with pytest.raises(ValueError, match="unknown config section"):
@@ -143,7 +119,7 @@ class TestFileRoundTrip:
         "workload.model": "lenet5",
         "workload.dataset": "mnist",
         "engine.backend": "fused",
-        "engine.plan": "trace",
+        "engine.cache_size": 0,
         "sampling.max_tiles": 0,
         "sweep.m_values": (64, 128),
     }
@@ -179,7 +155,7 @@ class TestFileRoundTrip:
     def test_emitted_json_is_valid_json(self):
         parsed = json.loads(RunConfig().to_json())
         assert parsed["engine"]["backend"] == "fused"
-        assert parsed["engine"]["plan"] == "trace"
+        assert parsed["engine"]["cache_size"] == 4096
 
     def test_unsupported_suffix(self, tmp_path):
         with pytest.raises(ValueError, match=".toml or .json"):
@@ -272,8 +248,8 @@ class TestTomlEmitterEdgeCases:
 class TestOverrides:
     def test_with_overrides_returns_new_instance(self):
         base = RunConfig()
-        derived = base.with_overrides({"engine.backend": "vectorized"})
-        assert derived.engine.backend == "vectorized"
+        derived = base.with_overrides({"engine.backend": "reference"})
+        assert derived.engine.backend == "reference"
         assert base.engine.backend == "fused"  # immutability
         assert derived is not base
 
@@ -305,26 +281,20 @@ class TestOverrides:
 class TestWithSets:
     def test_type_coercion(self):
         cfg = RunConfig().with_sets([
-            "engine.backend=sharded",
-            "engine.workers=4",
+            "engine.backend=reference",
+            "engine.cache_size=0",
             "engine.verify=true",
             "sampling.max_tiles=0",
             "sweep.m_values=64,128",
             "tradeoff.sparsity_increase=0.2",
         ])
-        assert cfg.engine.backend == "sharded"
-        assert cfg.engine.workers == 4
+        assert cfg.engine.backend == "reference"
+        assert cfg.engine.cache_size == 0
         assert cfg.engine.verify is True
         assert cfg.sampling.max_tiles == 0
         assert cfg.sampling.effective is None
         assert cfg.sweep.m_values == (64, 128)
         assert cfg.tradeoff.sparsity_increase == pytest.approx(0.2)
-
-    def test_none_for_optional(self):
-        base = RunConfig().with_sets(["engine.backend=sharded",
-                                      "engine.workers=2"])
-        cleared = base.with_sets(["engine.workers=none"])
-        assert cleared.engine.workers is None
 
     def test_missing_equals(self):
         with pytest.raises(ValueError, match="section.key=value"):
@@ -347,8 +317,6 @@ class TestResilienceSection:
         assert res.deadline_ms == 0.0
         assert res.retries == 1
         assert res.retry_backoff_ms == 10.0
-        assert res.max_pool_rebuilds == 2
-        assert res.degrade_on_pool_failure is True
         assert res.faults == ""
 
     def test_overrides_and_round_trip(self):
@@ -357,8 +325,7 @@ class TestResilienceSection:
             "resilience.shed_timeout_ms": 250.0,
             "resilience.deadline_ms": 5000.0,
             "resilience.retries": 3,
-            "resilience.max_pool_rebuilds": 0,
-            "resilience.degrade_on_pool_failure": False,
+            "resilience.retry_backoff_ms": 0.0,
             "resilience.faults": "engine_error:times=2",
         })
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
@@ -381,12 +348,10 @@ class TestResilienceSection:
             "resilience.overload_policy=shed",
             "resilience.shed_timeout_ms=75",
             "resilience.retries=0",
-            "resilience.degrade_on_pool_failure=false",
         ])
         assert cfg.resilience.overload_policy == "shed"
         assert cfg.resilience.shed_timeout_ms == 75.0
         assert cfg.resilience.retries == 0
-        assert cfg.resilience.degrade_on_pool_failure is False
 
     def test_bad_overload_policy(self):
         with pytest.raises(ValueError, match="unknown overload_policy"):
@@ -399,8 +364,6 @@ class TestResilienceSection:
             RunConfig().with_overrides({"resilience.deadline_ms": -1.0})
         with pytest.raises(ValueError, match="retries must be >= 0"):
             RunConfig().with_overrides({"resilience.retries": -1})
-        with pytest.raises(ValueError, match="max_pool_rebuilds"):
-            RunConfig().with_overrides({"resilience.max_pool_rebuilds": -1})
 
     def test_bad_fault_spec_rejected_eagerly(self):
         with pytest.raises(ValueError, match="unknown fault kind"):

@@ -1,10 +1,9 @@
 """Serving scheduler: coalesced batches, streaming, async, cancellation.
 
-Acceptance contract (ISSUE 5): coalesced concurrent execution is
-bit-identical to serial execution for every backend and worker count;
-concurrent jobs on one sharded scheduler share a single process pool
-(``pools_spawned == 1``); no job waits more than one coalescing window;
-and the Future-based ``Session.submit`` contract is preserved.
+Acceptance contract: coalesced concurrent execution is bit-identical to
+serial execution for every backend; concurrent jobs on one scheduler
+share one engine (and its cache); no job waits more than one coalescing
+window; and the Future-based ``Session.submit`` contract is preserved.
 """
 
 from __future__ import annotations
@@ -88,15 +87,15 @@ class TestCoalescing:
             assert result.report.dedup_ratio >= 4.0
 
     @pytest.mark.parametrize(
-        "backend,workers",
-        [("reference", None), ("vectorized", None), ("fused", None),
-         ("sharded", 1), ("sharded", 2)],
+        "backend,max_tiles",
+        [("reference", None), ("fused", None), ("fused", 0)],
     )
-    def test_coalesced_bit_identical_every_backend(self, backend, workers):
-        """Acceptance: coalesced == serial for every backend/worker count."""
+    def test_coalesced_bit_identical_every_backend(self, backend, max_tiles):
+        """Acceptance: coalesced == serial for every backend, sampled
+        (``None`` keeps the suite's 4-tile cap) and exact (``0``)."""
         overrides = {"engine.backend": backend}
-        if workers is not None:
-            overrides["engine.workers"] = workers
+        if max_tiles is not None:
+            overrides["sampling.max_tiles"] = max_tiles
         cfg = lenet_config(**overrides)
         serial = serial_run(cfg)
         with Scheduler(cfg) as scheduler:
@@ -121,21 +120,21 @@ class TestCoalescing:
     def test_incompatible_engines_run_separately(self):
         """Different signatures never share a batch, results stay exact."""
         fused = lenet_config(**{"engine.backend": "fused"})
-        vectorized = lenet_config(**{"engine.backend": "vectorized"})
+        reference = lenet_config(**{"engine.backend": "reference"})
         with Scheduler(fused) as scheduler:
-            a, b = scheduler.gather([fused, vectorized])
+            a, b = scheduler.gather([fused, reference])
             assert scheduler.jobs_coalesced == 0  # two single-job groups
         assert_records_equal(a, serial_run(fused))
-        assert_records_equal(b, serial_run(vectorized))
+        assert_records_equal(b, serial_run(reference))
         assert a.report.backend == "fused"
-        assert b.report.backend == "vectorized"
+        assert b.report.backend == "reference"
 
     def test_single_job_matches_session_exactly(self):
         """A lone non-streaming job takes the plain Session.run path."""
         cfg = lenet_config(**{"engine.backend": "fused"})
         with Scheduler(cfg) as scheduler:
             result = scheduler.submit("run").result()
-        assert result.report.plan == cfg.engine.plan  # honest plan mode
+        assert result.report.plan == "trace"
         assert_records_equal(result, serial_run(cfg))
 
     def test_verify_flag_respected_in_batch(self):
@@ -322,15 +321,16 @@ class TestStreaming:
 
 
 class TestSharedResources:
-    def test_one_pool_across_coalesced_batches(self):
-        """Acceptance: one sharded pool serves every batch and job."""
-        cfg = lenet_config(**{"engine.backend": "sharded",
-                              "engine.workers": 2, "engine.plan": "trace"})
+    def test_one_engine_across_coalesced_batches(self):
+        """Acceptance: one engine (and its cache) serves every batch and
+        job: after the first batch, nothing misses the cache."""
+        cfg = lenet_config(**{"engine.backend": "fused"})
         with Scheduler(cfg) as scheduler:
-            scheduler.gather([cfg, cfg, cfg])
-            scheduler.gather([cfg, cfg])
-            scheduler.submit("run").result()
-            assert scheduler.pools_spawned <= 1
+            first = scheduler.gather([cfg, cfg, cfg])
+            later = scheduler.gather([cfg, cfg]) + [scheduler.submit("run").result()]
+            assert first[0].report.cache_misses > 0
+            assert all(result.report.cache_misses == 0 for result in later)
+            assert scheduler.batches == 2  # the lone submit runs unbatched
 
     def test_adopted_engine_stays_open(self):
         cfg = lenet_config(**{"engine.backend": "fused"})
@@ -369,13 +369,12 @@ class TestSharedResources:
 
 
 class TestConcurrencySmoke:
-    """The CI concurrency job: 8 simultaneous clients, sharded backend."""
+    """The CI concurrency job: 8 simultaneous clients on one scheduler."""
 
     N_JOBS = 8
 
-    def test_eight_concurrent_submits_sharded(self):
-        cfg = lenet_config(**{"engine.backend": "sharded",
-                              "engine.workers": 2, "engine.plan": "trace"})
+    def test_eight_concurrent_submits(self):
+        cfg = lenet_config(**{"engine.backend": "fused"})
         serial = serial_run(cfg)
         with Scheduler(cfg, coalesce_window_ms=200) as scheduler:
             handles: list = [None] * self.N_JOBS
@@ -394,22 +393,18 @@ class TestConcurrencySmoke:
             for thread in threads:
                 thread.join()
             results = [handle.result(timeout=120) for handle in handles]
-            assert scheduler.pools_spawned == 1
         for result in results:
             assert_records_equal(result, serial)
 
-    def test_eight_async_jobs_sharded(self):
-        cfg = lenet_config(**{"engine.backend": "sharded",
-                              "engine.workers": 2, "engine.plan": "trace"})
+    def test_eight_async_jobs(self):
+        cfg = lenet_config(**{"engine.backend": "fused"})
         serial = serial_run(cfg)
 
         async def main():
             async with AsyncSession(cfg) as session:
-                results = await session.gather(*[cfg] * self.N_JOBS)
-                return results, session.scheduler.pools_spawned
+                return await session.gather(*[cfg] * self.N_JOBS)
 
-        results, pools = asyncio.run(main())
-        assert pools == 1
+        results = asyncio.run(main())
         assert len(results) == self.N_JOBS
         for result in results:
             assert_records_equal(result, serial)

@@ -14,7 +14,9 @@ from repro.api import (
     SimulationResult,
     SweepResult,
 )
-from repro.engine import ProsperityEngine
+from repro.core.prosparsity import transform_matrix
+from repro.engine import FusedBackend
+from repro.engine.planner import PROFILE_STAGES
 
 LENET = {
     "workload.model": "lenet5",
@@ -36,14 +38,13 @@ class TestLifecycle:
 
     def test_engine_reflects_config(self):
         cfg = lenet_config(**{
-            "engine.backend": "fused", "engine.plan": "trace",
+            "engine.backend": "fused",
             "engine.tile_m": 128, "engine.tile_k": 8,
             "engine.cache_size": 0,
         })
         with Session(cfg) as session:
             engine = session.engine
             assert engine.backend.name == "fused"
-            assert engine.plan == "trace"
             assert (engine.tile_m, engine.tile_k) == (128, 8)
             assert engine.cache is None
 
@@ -56,14 +57,15 @@ class TestLifecycle:
         with pytest.raises(RuntimeError, match="closed"):
             _ = session.engine
 
-    def test_close_releases_sharded_pool(self):
-        cfg = lenet_config(**{"engine.backend": "sharded",
-                              "engine.workers": 2, "engine.plan": "trace"})
-        session = Session(cfg)
+    def test_close_releases_owned_backend(self, monkeypatch):
+        closed = []
+        monkeypatch.setattr(FusedBackend, "close", lambda self: closed.append(self))
+        session = Session(lenet_config(**{"engine.backend": "fused"}))
         backend = session.backend
         session.run()
+        assert closed == []
         session.close()
-        assert backend._pool is None
+        assert closed == [backend]
 
     def test_default_config(self):
         session = Session()
@@ -86,23 +88,29 @@ class TestResults:
         assert result.config is cfg
         assert result.seconds > 0
         assert result.verified is None  # not requested
-        with ProsperityEngine(backend="fused", plan="matrix") as engine:
-            direct = engine.run(session.trace(), batch=cfg.engine.batch)
-        assert result.report.total_tiles == direct.total_tiles
-        for mine, theirs in zip(result.report.runs, direct.runs):
-            assert np.array_equal(mine.records, theirs.records)
+        workloads = session.trace().workloads
+        assert result.report.total_tiles == sum(
+            w.spikes.num_tiles(cfg.engine.tile_m, cfg.engine.tile_k)
+            for w in workloads
+        )
+        for mine, workload in zip(result.report.runs, workloads):
+            core = transform_matrix(
+                workload.spikes, cfg.engine.tile_m, cfg.engine.tile_k,
+                keep_transforms=False,
+            )
+            assert np.array_equal(mine.records, core.tile_records)
 
     def test_run_verify_flag(self):
-        cfg = lenet_config(**{"engine.backend": "vectorized",
+        cfg = lenet_config(**{"engine.backend": "fused",
                               "engine.verify": True})
         with Session(cfg) as session:
             assert session.run().verified is True
 
     def test_profile_attached(self):
-        cfg = lenet_config(**{"engine.backend": "fused", "engine.plan": "trace"})
+        cfg = lenet_config(**{"engine.backend": "fused"})
         with Session(cfg) as session:
             result = session.run()
-        assert {"plan", "dedup", "select"} <= set(result.profile)
+        assert list(result.profile) == list(PROFILE_STAGES)
         assert result.report.dedup_ratio >= 1.0
 
     def test_simulate_reports(self):
@@ -162,30 +170,32 @@ class TestResults:
             assert isinstance(session.density(), DensityResult)
 
 
-class TestPoolReuse:
-    def test_one_pool_across_run_simulate_sweep(self):
-        """Acceptance: a sharded Session spawns exactly one process pool
-        no matter which experiments run through it."""
+class TestResourceReuse:
+    def test_one_backend_across_run_simulate_sweep(self, monkeypatch):
+        """Acceptance: a Session builds one backend and engine, no matter
+        which experiments run through it, and closes the backend once."""
+        closed = []
+        monkeypatch.setattr(FusedBackend, "close", lambda self: closed.append(self))
         cfg = lenet_config(**{
-            "engine.backend": "sharded", "engine.workers": 2,
-            "engine.plan": "trace",
+            "engine.backend": "fused",
             "sweep.m_values": (64,), "sweep.k_values": (8,),
         })
         with Session(cfg) as session:
+            backend, engine = session.backend, session.engine
             session.run()
-            assert session.backend.pools_spawned == 1  # pool engaged
             session.simulate()
             session.sweep()
-            session.run()
-            assert session.backend.pools_spawned == 1
+            again = session.run()
+            assert session.backend is backend and session.engine is engine
+            assert again.report.cache_misses == 0  # the engine stayed warm
+            assert closed == []  # the sweep left the shared backend open
+        assert closed == [backend]
 
-    def test_sharded_records_bit_identical(self):
-        sharded_cfg = lenet_config(**{"engine.backend": "sharded",
-                                      "engine.workers": 2,
-                                      "engine.plan": "trace"})
+    def test_fused_records_bit_identical(self):
+        fused_cfg = lenet_config(**{"engine.backend": "fused"})
         reference_cfg = lenet_config(**{"engine.backend": "reference"})
-        with Session(sharded_cfg) as sharded, Session(reference_cfg) as ref:
-            mine = sharded.run().report
+        with Session(fused_cfg) as fused, Session(reference_cfg) as ref:
+            mine = fused.run().report
             theirs = ref.run().report
         for a, b in zip(mine.runs, theirs.runs):
             assert np.array_equal(a.records, b.records)
@@ -193,7 +203,7 @@ class TestPoolReuse:
 
 class TestCloseIdempotency:
     """Satellite contract: Session.close()/Backend.close() double-close
-    is a no-op — after real work, with pools, and interleaved."""
+    is a no-op — after real work and interleaved."""
 
     def test_session_double_close_after_run(self):
         session = Session(lenet_config(**{"engine.backend": "fused"}))
@@ -202,24 +212,20 @@ class TestCloseIdempotency:
         session.close()
         session.close()  # any number of closes is a no-op
 
-    def test_sharded_session_double_close_releases_pool_once(self):
-        cfg = lenet_config(**{"engine.backend": "sharded",
-                              "engine.workers": 2, "engine.plan": "trace"})
-        session = Session(cfg)
+    def test_session_double_close_closes_backend_once(self, monkeypatch):
+        closed = []
+        monkeypatch.setattr(FusedBackend, "close", lambda self: closed.append(self))
+        session = Session(lenet_config(**{"engine.backend": "fused"}))
         backend = session.backend
         session.run()
         session.close()
-        assert backend._pool is None
-        session.close()  # second close must not touch the dead backend
-        assert backend._pool is None
+        session.close()  # second close must not touch the closed backend
+        assert closed == [backend]
 
     def test_backend_double_close(self):
-        from repro.engine import ShardedBackend, get_backend
+        from repro.engine import get_backend
 
-        backend = ShardedBackend(workers=2)
-        backend.close()
-        backend.close()
-        for name in ("reference", "vectorized", "fused"):
+        for name in ("reference", "fused"):
             plain = get_backend(name)
             plain.close()
             plain.close()
@@ -252,29 +258,14 @@ class TestSharedEngine:
     def test_injected_engine_must_match_config(self):
         cfg = lenet_config(**{"engine.backend": "fused"})
         with Session(cfg) as owner:
-            mismatched = lenet_config(**{"engine.backend": "vectorized"})
+            mismatched = lenet_config(**{"engine.backend": "reference"})
             with pytest.raises(ValueError, match="does not match"):
                 Session(mismatched, engine=owner.engine)
-            # Plan mode is part of the contract too: a trace-planned
-            # engine cannot serve a matrix-planned config.
-            assert owner.engine.plan == "trace"
-            planned = lenet_config(**{"engine.backend": "fused",
-                                      "engine.plan": "matrix"})
+            # Tile shape is part of the contract too.
+            retiled = lenet_config(**{"engine.backend": "fused",
+                                      "engine.tile_k": 8})
             with pytest.raises(ValueError, match="does not match"):
-                Session(planned, engine=owner.engine)
-
-    def test_injected_engine_worker_count_checked_when_pinned(self):
-        cfg = lenet_config(**{"engine.backend": "sharded",
-                              "engine.workers": 2})
-        with Session(cfg) as owner:
-            pinned = lenet_config(**{"engine.backend": "sharded",
-                                     "engine.workers": 4})
-            with pytest.raises(ValueError, match="does not match"):
-                Session(pinned, engine=owner.engine)
-            # workers=None means "backend default": any pool size is fine.
-            unpinned = lenet_config(**{"engine.backend": "sharded"})
-            borrower = Session(unpinned, engine=owner.engine)
-            borrower.close()
+                Session(retiled, engine=owner.engine)
 
 
 class TestStream:
@@ -347,16 +338,16 @@ class TestSubmitQueue:
             assert future.result().result.profitable
 
     def test_submit_shares_session_engine(self):
-        """Scheduled jobs run against the session's engine — one sharded
-        pool across direct calls and submissions."""
-        cfg = lenet_config(**{"engine.backend": "sharded",
-                              "engine.workers": 2, "engine.plan": "trace"})
+        """Scheduled jobs run against the session's engine — one warm
+        cache across direct calls and submissions."""
+        cfg = lenet_config(**{"engine.backend": "fused"})
         with Session(cfg) as session:
             session.run()
             futures = [session.submit("run") for _ in range(3)]
             for future in futures:
-                assert future.result().report.total_tiles > 0
-            assert session.backend.pools_spawned == 1
+                report = future.result().report
+                assert report.total_tiles > 0
+                assert report.cache_misses == 0
 
     def test_submit_after_close_raises(self):
         session = Session(lenet_config())

@@ -93,7 +93,7 @@ class TestConfigPrecedence:
 
     def test_set_overrides_flags(self):
         cfg = build_config(
-            ["run", "--backend", "vectorized", "--set", "engine.backend=fused"]
+            ["run", "--backend", "reference", "--set", "engine.backend=fused"]
         )
         assert cfg.engine.backend == "fused"
 
@@ -102,12 +102,14 @@ class TestConfigPrecedence:
         assert cfg == RunConfig()
 
     def test_workers_rejected_at_config_time(self):
-        with pytest.raises(SystemExit, match="does not accept"):
-            build_config(["run", "--backend", "vectorized", "--workers", "2"])
+        with pytest.raises(SystemExit, match="unknown key.*'workers'"):
+            build_config(["run", "--set", "engine.workers=2"])
 
     def test_bad_flag_combo_exits_cleanly(self):
-        with pytest.raises(SystemExit, match="repro: error: batch must be >= 1"):
-            build_config(["run", "--batch", "0"])
+        with pytest.raises(
+            SystemExit, match="repro: error: cache_size must be >= 0"
+        ):
+            build_config(["run", "--cache-size", "-1"])
 
     def test_missing_config_file_exits_cleanly(self):
         with pytest.raises(SystemExit, match="repro: error: --config"):
@@ -134,7 +136,7 @@ class TestConfigDump:
         assert main(["config", "dump", "--json"]) == 0
         parsed = json.loads(capsys.readouterr().out)
         assert parsed["engine"]["backend"] == "fused"
-        assert parsed["engine"]["plan"] == "trace"
+        assert "plan" not in parsed["engine"]
 
     def test_dump_then_config_flag(self, capsys, tmp_path):
         """`repro config dump > f.toml; repro run --config f.toml` works."""
@@ -149,7 +151,7 @@ class TestConfigDump:
 
 
 class TestBatchCommand:
-    """`repro batch`: many configs through one shared scheduler/pool."""
+    """`repro batch`: many configs through one shared scheduler."""
 
     def _write_config(self, tmp_path, name, **overrides):
         cfg = RunConfig().with_overrides({
@@ -171,9 +173,9 @@ class TestBatchCommand:
         a = self._write_config(tmp_path, "a.json")
         b = self._write_config(tmp_path, "b.json")
         assert main(["batch", "--config", a, "--config", b,
-                     "--set", "engine.backend=vectorized"]) == 0
+                     "--set", "engine.backend=reference"]) == 0
         out = capsys.readouterr().out
-        assert out.count("vectorized") == 2
+        assert out.count("reference") == 2
 
     def test_batch_records_match_serial_run(self, tmp_path, capsys):
         """Acceptance: the batch path is bit-identical to `repro run`
@@ -220,8 +222,7 @@ class TestBatchCommand:
 class TestConfigFileEquivalence:
     """Acceptance: a config file alone reproduces the flag invocation."""
 
-    FLAGS = ["--model", "lenet5", "--dataset", "mnist",
-             "--backend", "fused", "--plan", "trace"]
+    FLAGS = ["--model", "lenet5", "--dataset", "mnist", "--backend", "fused"]
 
     def test_run_records_bit_identical(self, tmp_path):
         flag_cfg = build_config(["run", *self.FLAGS])
@@ -253,3 +254,54 @@ class TestConfigFileEquivalence:
         out = capsys.readouterr().out
         assert "backend=fused" in out
         assert "plan: trace" in out
+
+
+class TestRemovedSurface:
+    """Deleted knobs fail through the existing unknown-key, unknown-backend
+    and unknown-flag errors — there is no table of removed names."""
+
+    REMOVED_KEYS = {
+        "engine": ("workers", "plan", "batch"),
+        "resilience": ("max_pool_rebuilds", "degrade_on_pool_failure"),
+    }
+    CASES = [
+        *[("toml", f"{section}.{key}") for section, keys in REMOVED_KEYS.items()
+          for key in keys],
+        *[("set", f"{section}.{key}") for section, keys in REMOVED_KEYS.items()
+          for key in keys],
+        *[("backend", name) for name in ("vectorized", "sharded", "compiled")],
+        *[("flag", flag) for flag in ("--workers", "--plan", "--batch")],
+    ]
+
+    @pytest.mark.parametrize(
+        ("kind", "name"), CASES, ids=[f"{kind}:{name}" for kind, name in CASES]
+    )
+    def test_rejected(self, kind, name, tmp_path, capsys):
+        section, _, key = name.partition(".")
+        if kind == "toml":
+            path = tmp_path / "run.toml"
+            path.write_text(f"[{section}]\n{key} = 2\n")
+            argv = ["run", "--config", str(path)]
+        elif kind == "set":
+            argv = ["run", "--set", f"{name}=2"]
+        elif kind == "backend":
+            argv = ["run", "--backend", name]
+        else:
+            argv = ["run", name, "2"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        code = excinfo.value.code
+        if kind in ("toml", "set"):
+            if kind == "toml" and tomllib is None:
+                pytest.skip("no TOML reader on this Python")
+            assert "repro: error:" in str(code)
+            assert "unknown key" in str(code) and repr(key) in str(code)
+            assert f"[{section}]" in str(code)
+        else:
+            assert code == 2
+            err = capsys.readouterr().err
+            if kind == "backend":
+                assert "invalid choice" in err
+                assert "(choose from 'fused', 'reference')" in err
+            else:
+                assert f"unrecognized arguments: {name}" in err

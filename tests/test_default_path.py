@@ -1,10 +1,10 @@
 """The fast path is the default at every entry point.
 
-``fused`` + ``plan="trace"`` is what ``RunConfig``, the engine, the
+``fused`` (always trace-planned) is what ``RunConfig``, the engine, the
 simulator and the sweeps pick when nothing is named, and the stats-only
 call sites (density, LoAS, scaling) run on a default engine. Each must
-still equal the ``reference`` oracle exactly, sampled and exact, on the
-``small`` Fig. 11 traces.
+still equal the :mod:`repro.core` oracle exactly, sampled and exact, on
+the ``small`` Fig. 11 traces.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from repro.analysis.density import trace_prosparsity_stats
 from repro.api import RunConfig, Session
 from repro.arch import ProsperitySimulator, scaling
 from repro.baselines import activation_density_with_prosparsity
+from repro.core import prosparsity
 from repro.core.prosparsity import ProSparsityStats
-from repro.engine import DEFAULT_BACKEND, DEFAULT_PLAN, ProsperityEngine
+from repro.engine import DEFAULT_BACKEND, ProsperityEngine
 from repro.engine.planner import TracePlanner
 from repro.workloads import FIG11_GRID, get_trace
 
@@ -28,19 +29,17 @@ SEED = 11
 
 
 def test_every_entry_point_defaults_to_the_fast_path():
-    assert (DEFAULT_BACKEND, DEFAULT_PLAN) == ("fused", "trace")
-    default = (DEFAULT_BACKEND, DEFAULT_PLAN)
-    cfg = RunConfig().engine
-    assert (cfg.backend, cfg.plan) == default
+    assert DEFAULT_BACKEND == "fused"
+    assert RunConfig().engine.backend == DEFAULT_BACKEND
     with ProsperityEngine() as engine:
-        assert (engine.backend.name, engine.plan) == default
+        assert engine.backend.name == DEFAULT_BACKEND
     with ProsperitySimulator() as simulator:
-        assert (simulator.engine.backend.name, simulator.plan) == default
+        assert simulator.engine.backend.name == DEFAULT_BACKEND
     with Session(RunConfig()) as session:
-        assert (session.engine.backend.name, session.engine.plan) == default
+        assert session.engine.backend.name == DEFAULT_BACKEND
     for function in (sweep.sweep_tile_sizes, sweep._latency_ratio):
         params = inspect.signature(function).parameters
-        assert (params["backend"].default, params["plan"].default) == default
+        assert params["backend"].default == DEFAULT_BACKEND
 
 
 def test_verify_trace_oracle_is_independent_of_the_planner(monkeypatch):
@@ -63,24 +62,40 @@ def fig11_traces():
 
 
 @pytest.fixture(scope="module")
-def reference_engine():
-    # Large enough to hold every distinct tile, so the sampled oracle
-    # replays the exact one's forests instead of rebuilding them.
-    with ProsperityEngine(
-        backend="reference", plan="matrix", cache_size=1 << 15
-    ) as engine:
-        yield engine
+def forest_memo():
+    """Content-keyed memo around the core's ``build_forest``.
+
+    The oracle rebuilds every repeated tile otherwise (and the sampled
+    pass re-draws tiles the exact pass already built); keying on the
+    full packed content keeps it the core computation, only once.
+    """
+    memo = {}
+    build = prosparsity.build_forest
+
+    def build_once(tile):
+        key = (tile.m, tile.k, tile.packed.tobytes())
+        if key not in memo:
+            memo[key] = build(tile)
+        return memo[key]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prosparsity, "build_forest", build_once)
+        yield
 
 
 @pytest.fixture(scope="module", params=[None, 24], ids=["exact", "sampled"])
-def oracle(request, fig11_traces, reference_engine):
-    """Per-trace ``reference``-backend results, one shared RNG stream."""
+def oracle(request, fig11_traces, forest_memo):
+    """Per-workload ``repro.core`` results, one shared RNG stream."""
     max_tiles = request.param
     rng = np.random.default_rng(SEED)
     results = [
-        reference_engine.transform_trace(
-            trace.workloads, max_tiles=max_tiles, rng=rng
-        )
+        [
+            prosparsity.transform_matrix(
+                workload.spikes, 256, 16, keep_transforms=False,
+                max_tiles=max_tiles, rng=rng,
+            )
+            for workload in trace.workloads
+        ]
         for trace in fig11_traces
     ]
     return max_tiles, results

@@ -1,4 +1,4 @@
-"""Backend equivalence: the vectorized path must match the reference oracle.
+"""Backend equivalence: the fused fast path must match the reference oracle.
 
 Property-style sweep over random spike matrices at varied densities, row
 correlations, and tile shapes: forests, tile records, aggregate stats, and
@@ -15,19 +15,21 @@ from repro.core.forest import build_forest
 from repro.core.prosparsity import execute_gemm, transform_matrix
 from repro.core.reference import dense_spiking_gemm
 from repro.core.spike_matrix import SpikeTile, random_spike_matrix
+from repro.engine import ProsperityEngine
 from repro.engine.backends import (
     Backend,
     ReferenceBackend,
-    VectorizedBackend,
     available_backends,
-    chain_depths,
     get_backend,
-    max_chain_depth,
-    pack_codes,
     register_backend,
-    select_prefixes_codes,
 )
-from repro.engine.planner import PLAN_MODES
+from repro.engine.fused import (
+    FusedBackend,
+    chain_depths,
+    max_chain_depth_batch,
+    padded_codes,
+    select_prefixes_batch,
+)
 from repro.utils.bitops import popcount_rows
 
 DENSITIES = (0.01, 0.05, 0.15, 0.3, 0.6, 0.95)
@@ -47,35 +49,35 @@ def _random_cases(rng):
 
 class TestForestEquivalence:
     def test_forests_identical_across_densities(self, rng):
-        backend = VectorizedBackend()
+        backend = FusedBackend()
         for matrix in _random_cases(rng):
             tile = SpikeTile(matrix.bits)
             reference = build_forest(tile)
-            vectorized = backend.forest(tile)
-            assert np.array_equal(reference.prefix, vectorized.prefix)
-            assert np.array_equal(reference.pattern, vectorized.pattern)
-            assert np.array_equal(reference.popcounts, vectorized.popcounts)
+            fused = backend.forest(tile)
+            assert np.array_equal(reference.prefix, fused.prefix)
+            assert np.array_equal(reference.pattern, fused.pattern)
+            assert np.array_equal(reference.popcounts, fused.popcounts)
 
     def test_paper_example_forest(self, paper_tile):
         reference = build_forest(paper_tile)
-        vectorized = VectorizedBackend().forest(paper_tile)
-        assert np.array_equal(reference.prefix, vectorized.prefix)
-        assert np.array_equal(reference.pattern, vectorized.pattern)
+        fused = FusedBackend().forest(paper_tile)
+        assert np.array_equal(reference.prefix, fused.prefix)
+        assert np.array_equal(reference.pattern, fused.pattern)
 
     def test_records_identical(self, rng):
-        backend = VectorizedBackend()
         oracle = ReferenceBackend()
+        engine = ProsperityEngine(backend="fused", cache_size=0)
         for matrix in _random_cases(rng):
             for tile_m, tile_k in ((64, 16), (32, 8)):
                 ref = oracle.matrix_records(matrix, tile_m, tile_k)
-                vec = backend.matrix_records(matrix, tile_m, tile_k)
-                assert np.array_equal(ref, vec)
+                fused = engine.transform_matrix(matrix, tile_m, tile_k)
+                assert np.array_equal(ref, fused.tile_records)
 
     def test_records_match_core_transform(self, rng):
         matrix = random_spike_matrix(300, 40, 0.25, rng, 0.5)
         core = transform_matrix(matrix, 64, 16, keep_transforms=False)
-        vec = VectorizedBackend().matrix_records(matrix, 64, 16)
-        assert np.array_equal(core.tile_records, vec)
+        fused = ProsperityEngine(tile_m=64, tile_k=16).transform_matrix(matrix)
+        assert np.array_equal(core.tile_records, fused.tile_records)
 
 
 class TestExecutionEquivalence:
@@ -107,33 +109,36 @@ class TestExecutionEquivalence:
         tile = SpikeTile(matrix.bits)
         forest = build_forest(tile)
         reference = ReferenceBackend().execute(forest, weights)
-        vectorized = VectorizedBackend().execute(forest, weights)
-        assert reference.dtype == vectorized.dtype == np.float64
-        np.testing.assert_allclose(reference, vectorized, rtol=1e-12, atol=1e-12)
+        fused = FusedBackend().execute(forest, weights)
+        assert reference.dtype == fused.dtype == np.float64
+        np.testing.assert_allclose(reference, fused, rtol=1e-12, atol=1e-12)
 
     def test_vectorized_execute_rejects_bad_weights(self, rng):
+        """The fused backend's matmul-plus-seeding ``execute``."""
         tile = SpikeTile((rng.random((8, 4)) < 0.5))
-        forest = VectorizedBackend().forest(tile)
+        forest = FusedBackend().forest(tile)
         with pytest.raises(ValueError, match="weight rows"):
-            VectorizedBackend().execute(forest, rng.normal(size=(5, 3)))
+            FusedBackend().execute(forest, rng.normal(size=(5, 3)))
 
     def test_deep_chain_execution(self):
         """Staircase tile: every row prefixes the next (max-depth forest)."""
         bits = np.tril(np.ones((16, 16), dtype=bool))
         tile = SpikeTile(bits)
         weights = np.arange(16 * 4).reshape(16, 4).astype(np.int64)
-        forest = VectorizedBackend().forest(tile)
-        out = VectorizedBackend().execute(forest, weights)
+        forest = FusedBackend().forest(tile)
+        out = FusedBackend().execute(forest, weights)
         assert np.array_equal(out, dense_spiking_gemm(bits, weights))
-        assert max_chain_depth(forest.prefix) == 15
+        assert forest.depth() == 15
 
 
 class TestVectorizedPrimitives:
+    """The NumPy code primitives under the fused kernels."""
+
     def test_pack_codes_widths(self, rng):
         for cols in (3, 8, 9, 16, 33, 64, 65, 130, 200):
             bits = rng.random((10, cols)) < 0.5
             packed = np.packbits(bits, axis=1)
-            codes = pack_codes(packed)
+            codes = padded_codes(packed)
             assert codes.shape[0] == 10
             # Codes are a bijection: equal rows <-> equal codes.
             for i in range(10):
@@ -143,8 +148,9 @@ class TestVectorizedPrimitives:
                     )
 
     def test_select_prefixes_empty_tile(self):
-        codes = pack_codes(np.zeros((0, 2), dtype=np.uint8))
-        assert select_prefixes_codes(codes, np.zeros(0, dtype=np.int64)).size == 0
+        codes = padded_codes(np.zeros((0, 2), dtype=np.uint8))[None]
+        pops = np.zeros((1, 0), dtype=np.int64)
+        assert select_prefixes_batch(codes, pops).size == 0
 
     def test_chain_depths_matches_forest_depth(self, rng):
         for matrix in _random_cases(rng):
@@ -152,7 +158,7 @@ class TestVectorizedPrimitives:
             forest = build_forest(tile)
             depths = chain_depths(forest.prefix)
             assert int(depths.max(initial=0)) == forest.depth()
-            assert max_chain_depth(forest.prefix) == forest.depth()
+            assert max_chain_depth_batch(forest.prefix[None])[0] == forest.depth()
 
     def test_popcount_consistency(self, rng):
         bits = rng.random((32, 100)) < 0.4
@@ -162,13 +168,10 @@ class TestVectorizedPrimitives:
 
 class TestRegistry:
     def test_available_backends(self):
-        assert "reference" in available_backends()
-        assert "vectorized" in available_backends()
-        assert "fused" in available_backends()
-        assert "sharded" in available_backends()
+        assert available_backends() == ("fused", "reference")
 
     def test_get_backend_passthrough(self):
-        backend = VectorizedBackend()
+        backend = FusedBackend()
         assert get_backend(backend) is backend
 
     def test_unknown_backend_raises(self):
@@ -191,18 +194,13 @@ class TestRegistry:
 
 class TestEndToEndGemm:
     def test_gemm_against_core_path(self, rng):
-        """Whole-matrix GeMM: engine tiles + both backends == core path."""
-        from repro.engine import ProsperityEngine
-
+        """Whole-matrix GeMM: planned engine tiles + both backends == core path."""
         matrix = random_spike_matrix(150, 70, 0.2, rng, 0.3)
         weights = rng.integers(-16, 16, size=(70, 20))
         expected = execute_gemm(matrix, weights, tile_m=64, tile_k=16)
         assert np.array_equal(expected, dense_spiking_gemm(matrix.bits, weights))
         for name in available_backends():
-            for plan in PLAN_MODES:
-                engine = ProsperityEngine(
-                    backend=name, tile_m=64, tile_k=16, plan=plan
-                )
-                out = engine.execute_gemm(matrix, weights)
-                assert np.array_equal(out, expected), (name, plan)
-                assert out.dtype == expected.dtype
+            engine = ProsperityEngine(backend=name, tile_m=64, tile_k=16)
+            out = engine.execute_gemm(matrix, weights)
+            assert np.array_equal(out, expected), name
+            assert out.dtype == expected.dtype

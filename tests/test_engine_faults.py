@@ -1,11 +1,9 @@
-"""Deterministic fault-injection harness + ShardedBackend supervision.
+"""Deterministic fault-injection harness.
 
-Contract (ISSUE 7): fault points are provably inert when disabled; the
-spec grammar round-trips and rejects malformed plans eagerly; an
-injected worker crash breaks the pool, the supervisor rebuilds it within
-``max_rebuilds`` and the retried records are bit-identical; a spent
-budget either degrades to the in-process fused path (still
-bit-identical) or raises :class:`PoolBrokenError`.
+Contract: fault points are provably inert when disabled; the spec
+grammar parses well-formed plans and rejects malformed ones eagerly;
+triggers honour their ``after``/``times`` budgets; ``REPRO_FAULTS`` is
+read on first use and never written back.
 """
 
 from __future__ import annotations
@@ -17,17 +15,9 @@ import numpy as np
 import pytest
 
 from repro.core.spike_matrix import random_spike_matrix
-from repro.engine import (
-    FaultInjected,
-    FaultPlan,
-    FaultSpec,
-    PoolBrokenError,
-    ReferenceBackend,
-    ShardedBackend,
-)
+from repro.engine import FaultInjected, FaultPlan, FaultSpec
 from repro.engine import faults
 from repro.engine.fused import FusedBackend
-from repro.engine.parallel import MIN_TILES_PER_SHARD
 
 
 @pytest.fixture(autouse=True)
@@ -39,16 +29,10 @@ def clean_faults(monkeypatch):
     faults.clear()
 
 
-@pytest.fixture
-def pooled_matrix(rng):
-    """A spike matrix big enough that the sharded pool path engages."""
-    return random_spike_matrix(64 * 2 * MIN_TILES_PER_SHARD, 16, 0.3, rng, 0.2)
-
-
 class TestFaultSpec:
     def test_parse_options(self):
-        spec = FaultSpec.parse("worker_crash:after=2:times=3")
-        assert (spec.kind, spec.after, spec.times) == ("worker_crash", 2, 3)
+        spec = FaultSpec.parse("engine_error:after=2:times=3")
+        assert (spec.kind, spec.after, spec.times) == ("engine_error", 2, 3)
 
     def test_parse_defaults(self):
         spec = FaultSpec.parse("engine_error")
@@ -90,21 +74,14 @@ class TestFaultSpec:
         assert all(spec.should_fire() for _ in range(10))
         assert not spec.exhausted
 
-    def test_to_text_serializes_remaining_budget(self):
-        spec = FaultSpec.parse("engine_error:times=3")
-        assert spec.should_fire()
-        assert spec.to_text() == "engine_error:times=2"
-        assert spec.should_fire()
-        # One trigger left is the default and is omitted.
-        assert spec.to_text() == "engine_error"
-
-    def test_round_trip(self):
-        for text in (
-            "worker_crash:after=2:times=3",
-            "slow_kernel:seconds=0.5",
-            "poison_job:match=bad",
+    def test_parse_equals_constructed(self):
+        for text, spec in (
+            ("engine_error:after=2:times=3",
+             FaultSpec("engine_error", after=2, times=3)),
+            ("slow_kernel:seconds=0.5", FaultSpec("slow_kernel", seconds=0.5)),
+            ("poison_job:match=bad", FaultSpec("poison_job", match="bad")),
         ):
-            assert FaultSpec.parse(text).to_text() == text
+            assert FaultSpec.parse(text) == spec
 
 
 class TestFaultPlan:
@@ -117,35 +94,30 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="duplicate fault kind"):
             FaultPlan.parse("engine_error,engine_error:times=2")
 
-    def test_round_trip(self):
-        text = "worker_crash:times=2,poison_job:match=bad"
-        plan = FaultPlan.parse(text)
-        assert plan.to_text() == text
-        assert plan.get("worker_crash").times == 2
+    def test_parse_keys_specs_by_kind(self):
+        plan = FaultPlan.parse("engine_error:times=2,poison_job:match=bad")
+        assert list(plan.specs) == ["engine_error", "poison_job"]
+        assert plan.get("engine_error").times == 2
+        assert plan.get("poison_job").match == "bad"
         assert plan.get("slow_kernel") is None
-
-    def test_exhausted_specs_drop_from_text(self):
-        plan = FaultPlan.parse("engine_error,poison_job:match=bad")
-        plan.get("engine_error").should_fire()
-        assert plan.to_text() == "poison_job:match=bad"
 
 
 class TestActivation:
-    def test_install_syncs_env(self):
+    def test_install_leaves_env_alone(self):
         faults.install("engine_error:times=2")
-        assert os.environ[faults.ENV_VAR] == "engine_error:times=2"
-        faults.clear()
+        assert faults.active_plan().get("engine_error").times == 2
         assert faults.ENV_VAR not in os.environ
+        faults.clear()
         assert faults.active_plan() is None
 
     def test_injected_restores_previous_state(self):
         faults.install("slow_kernel:seconds=0.5")
         with faults.injected("engine_error"):
             assert faults.active_plan().get("engine_error") is not None
-            assert os.environ[faults.ENV_VAR] == "engine_error"
+            assert faults.active_plan().get("slow_kernel") is None
         plan = faults.active_plan()
         assert plan.get("slow_kernel") is not None
-        assert os.environ[faults.ENV_VAR] == "slow_kernel:seconds=0.5"
+        assert plan.get("engine_error") is None
 
     def test_refresh_resolves_from_env(self, monkeypatch):
         faults.clear()
@@ -160,13 +132,6 @@ class TestActivation:
         monkeypatch.delenv(faults.ENV_VAR)
         faults.refresh()
 
-    def test_consume_burns_parent_budget(self):
-        faults.install("worker_crash:times=2")
-        faults.consume("worker_crash")
-        assert os.environ[faults.ENV_VAR] == "worker_crash"
-        faults.consume("worker_crash")
-        assert faults.ENV_VAR not in os.environ
-
 
 class TestInertWhenDisabled:
     """The acceptance bar: fault points provably do nothing by default."""
@@ -178,7 +143,6 @@ class TestInertWhenDisabled:
         for _ in range(100):
             faults.kernel_fault("test.site")
             faults.poison_fault(["any", "labels"], site="test")
-            faults.worker_tick()
         assert faults.active_plan() is None
 
     def test_backend_results_identical_with_harness_imported(self, rng):
@@ -197,7 +161,6 @@ class TestKernelFaults:
         assert err.value.transient is True
         assert err.value.site == "unit.site"
         faults.kernel_fault("unit.site")  # budget spent: no-op now
-        assert faults.ENV_VAR not in os.environ
 
     def test_slow_kernel_sleeps(self):
         faults.install("slow_kernel:seconds=0.05:times=1")
@@ -255,57 +218,3 @@ class TestRequestFaults:
 
     def test_inert_without_plan(self):
         assert faults.request_fault(site="server/v1/jobs") is None
-
-
-class TestPoolSupervision:
-    def test_crash_rebuild_retry_bit_identical(self, pooled_matrix):
-        oracle = FusedBackend().matrix_records(pooled_matrix, 64, 16)
-        with ShardedBackend(workers=2) as backend:
-            with faults.injected("worker_crash"):
-                records = backend.matrix_records(pooled_matrix, 64, 16)
-                # The supervisor burned the crash budget before the
-                # rebuilt pool forked, so its workers came up clean.
-                assert "worker_crash" not in os.environ.get(faults.ENV_VAR, "")
-            assert np.array_equal(records, oracle)
-            assert backend.pool_rebuilds == 1
-            assert backend.retries == 1
-            assert backend.pools_spawned == 2
-            assert backend.degraded is False
-            assert backend.failure_counters() == {
-                "pool_rebuilds": 1, "retries": 1, "degraded": False,
-            }
-
-    def test_budget_spent_degrades_to_inline(self, pooled_matrix):
-        oracle = FusedBackend().matrix_records(pooled_matrix, 64, 16)
-        with ShardedBackend(workers=2, max_rebuilds=0) as backend:
-            with faults.injected("worker_crash:times=0"):
-                records = backend.matrix_records(pooled_matrix, 64, 16)
-            assert np.array_equal(records, oracle)
-            assert backend.degraded is True
-            assert backend.pool_rebuilds == 0
-            # Once degraded, later calls stay inline — no pool respawn.
-            again = backend.matrix_records(pooled_matrix, 64, 16)
-            assert np.array_equal(again, oracle)
-            assert backend.pools_spawned == 1
-
-    def test_budget_spent_without_degrade_raises(self, pooled_matrix):
-        with ShardedBackend(workers=2, max_rebuilds=0, degrade=False) as backend:
-            with faults.injected("worker_crash:times=0"):
-                with pytest.raises(PoolBrokenError, match="rebuild budget"):
-                    backend.matrix_records(pooled_matrix, 64, 16)
-
-    def test_pool_broken_error_chains_cause(self, pooled_matrix):
-        from concurrent.futures.process import BrokenProcessPool
-
-        with ShardedBackend(workers=2, max_rebuilds=0, degrade=False) as backend:
-            with faults.injected("worker_crash:times=0"):
-                with pytest.raises(PoolBrokenError) as err:
-                    backend.matrix_records(pooled_matrix, 64, 16)
-        assert isinstance(err.value.__cause__, BrokenProcessPool)
-
-    def test_negative_rebuild_budget_rejected(self):
-        with pytest.raises(ValueError, match="max_rebuilds"):
-            ShardedBackend(workers=2, max_rebuilds=-1)
-
-    def test_failure_counters_base_is_empty(self):
-        assert ReferenceBackend().failure_counters() == {}

@@ -1,10 +1,9 @@
 """Fused backend: tile-batched kernels must match the reference oracle.
 
-Property-style sweeps pin the fused ``matrix_records`` path — stacked
-same-shape tiles, sorted-key triangle scan, content dedup, hoisted
-padding — bit-for-bit against the per-tile reference and vectorized
-implementations, across densities, correlations, word widths, and ragged
-tile shapes.
+Property-style sweeps pin the fused path — stacked same-shape tiles,
+sorted-key triangle scan, content dedup, hoisted padding — bit-for-bit
+against the per-tile :mod:`repro.core` oracle, across densities,
+correlations, word widths, and ragged tile shapes.
 """
 
 from __future__ import annotations
@@ -13,19 +12,13 @@ import numpy as np
 import pytest
 
 from repro.core.forest import build_forest
-from repro.core.prosparsity import forest_record
+from repro.core.prosparsity import forest_record, transform_matrix
 from repro.core.spike_matrix import SpikeMatrix, SpikeTile, random_spike_matrix
-from repro.engine import ForestCache, FusedBackend, ProsperityEngine, get_backend
-from repro.engine.backends import (
-    ReferenceBackend,
-    available_backends,
-    max_chain_depth,
-    pack_codes,
-    select_prefixes_codes,
-)
+from repro.engine import FusedBackend, ProsperityEngine, get_backend
+from repro.engine.backends import ReferenceBackend, available_backends
 from repro.engine.fused import (
-    PROFILE_STAGES,
-    build_tile_groups,
+    KERNEL_STAGES,
+    build_tile_parts,
     dedup_tiles,
     max_chain_depth_batch,
     padded_codes,
@@ -35,6 +28,16 @@ from repro.engine.fused import (
 from repro.utils.bitops import popcount_rows
 
 DENSITIES = (0.0, 0.05, 0.2, 0.5, 0.95, 1.0)
+
+
+def _fused_records(matrix, tile_m, tile_k):
+    """Records of the trace-planned fused path, cache off."""
+    engine = ProsperityEngine("fused", tile_m=tile_m, tile_k=tile_k, cache_size=0)
+    return engine.transform_matrix(matrix).tile_records
+
+
+def _codes(tile):
+    return padded_codes(tile.packed)
 
 
 def _random_cases(rng):
@@ -57,11 +60,10 @@ class TestFusedEquivalence:
 
     def test_matrix_records_match_reference(self, rng):
         oracle = ReferenceBackend()
-        fused = FusedBackend()
         for matrix in _random_cases(rng):
             for tile_m, tile_k in ((64, 16), (32, 8), (17, 23)):
                 expected = oracle.matrix_records(matrix, tile_m, tile_k)
-                actual = fused.matrix_records(matrix, tile_m, tile_k)
+                actual = _fused_records(matrix, tile_m, tile_k)
                 assert np.array_equal(expected, actual), (tile_m, tile_k)
 
     def test_tile_record_matches_forest_record(self, rng):
@@ -80,7 +82,7 @@ class TestFusedEquivalence:
         tile_bits = rng.random((32, 16)) < 0.3
         stacked = SpikeMatrix(np.vstack([tile_bits] * 6))
         expected = ReferenceBackend().matrix_records(stacked, 32, 16)
-        actual = FusedBackend().matrix_records(stacked, 32, 16)
+        actual = _fused_records(stacked, 32, 16)
         assert np.array_equal(expected, actual)
         assert (expected == expected[0]).all()
 
@@ -90,15 +92,15 @@ class TestHoistedPadding:
         "tile_k", [17, 24, 33, 40, 41, 48, 49, 56]
     )  # packed widths 3, 3, 5, 5, 6, 6, 7, 7 bytes
     def test_padded_codes_match_per_tile_pack(self, rng, tile_k):
-        """Matrix-level padding must equal per-tile ``pack_codes`` padding."""
+        """Matrix-level padding must equal per-tile padding."""
         matrix = random_spike_matrix(96, 2 * tile_k + 5, 0.3, rng, 0.4)
-        groups, _ = build_tile_groups(matrix, 32, tile_k)
         by_position = {}
-        for group in groups:
-            for i, position in enumerate(group.positions):
-                by_position[int(position)] = group.codes[i]
+        for chunks in build_tile_parts(matrix, 32, tile_k).values():
+            for _, codes, _, _, positions in chunks:
+                for i, position in enumerate(positions):
+                    by_position[int(position)] = codes[i]
         for index, tile in enumerate(matrix.tile(32, tile_k)):
-            expected = pack_codes(tile.packed)
+            expected = _codes(tile)
             actual = by_position[index]
             assert actual.dtype == expected.dtype, tile_k
             assert np.array_equal(actual, expected), (tile_k, index)
@@ -107,33 +109,32 @@ class TestHoistedPadding:
     def test_records_at_non_power_of_two_widths(self, rng, tile_k):
         matrix = random_spike_matrix(80, 3 * tile_k - 4, 0.25, rng, 0.5)
         expected = ReferenceBackend().matrix_records(matrix, 32, tile_k)
-        actual = FusedBackend().matrix_records(matrix, 32, tile_k)
+        actual = _fused_records(matrix, 32, tile_k)
         assert np.array_equal(expected, actual)
 
     def test_padded_codes_identity_when_power_of_two(self, rng):
         packed = np.packbits(rng.random((10, 32)) < 0.5, axis=1)
         codes = padded_codes(packed)
-        assert np.array_equal(codes, pack_codes(packed))
+        assert np.array_equal(codes, packed.view(np.uint32))
 
 
 class TestBatchedKernels:
     def test_select_matches_per_tile(self, rng):
         for matrix in _random_cases(rng):
             tile = SpikeTile(matrix.bits)
-            codes = pack_codes(tile.packed)
             pops = popcount_rows(tile.packed)
-            expected = select_prefixes_codes(codes, pops)
-            batched = select_prefixes_batch(codes[None], pops[None])[0]
+            expected = build_forest(tile).prefix
+            batched = select_prefixes_batch(_codes(tile)[None], pops[None])[0]
             assert np.array_equal(expected, batched)
 
     def test_select_stacked_tiles_independent(self, rng):
         """Each stacked tile's prefixes must ignore the other tiles."""
         tiles = [SpikeTile(rng.random((32, 16)) < d) for d in (0.1, 0.4, 0.8)]
-        codes = np.stack([pack_codes(t.packed) for t in tiles])
+        codes = np.stack([_codes(t) for t in tiles])
         pops = np.stack([popcount_rows(t.packed) for t in tiles])
         batched = select_prefixes_batch(codes, pops)
         for i, tile in enumerate(tiles):
-            expected = select_prefixes_codes(codes[i], pops[i])
+            expected = build_forest(tile).prefix
             assert np.array_equal(batched[i], expected), i
 
     def test_select_large_popcounts_no_overflow(self):
@@ -143,10 +144,9 @@ class TestBatchedKernels:
         bits[1, :50] = False
         bits[5, :] = False     # and a zero row
         tile = SpikeTile(bits)
-        codes = pack_codes(tile.packed)
         pops = popcount_rows(tile.packed)
-        expected = select_prefixes_codes(codes, pops)
-        batched = select_prefixes_batch(codes[None], pops[None])[0]
+        expected = build_forest(tile).prefix
+        batched = select_prefixes_batch(_codes(tile)[None], pops[None])[0]
         assert np.array_equal(batched, expected)
 
     def test_empty_batch(self):
@@ -160,7 +160,6 @@ class TestBatchedKernels:
             tile = SpikeTile(matrix.bits)
             forest = build_forest(tile)
             batched = max_chain_depth_batch(forest.prefix[None])[0]
-            assert batched == max_chain_depth(forest.prefix)
             assert batched == forest.depth()
 
     def test_depth_staircase(self):
@@ -176,7 +175,7 @@ class TestBatchedKernels:
 
     def test_records_batch_matches_reference(self, rng):
         tiles = [SpikeTile(rng.random((48, 24)) < d) for d in (0.1, 0.3, 0.6)]
-        codes = np.stack([pack_codes(t.packed) for t in tiles])
+        codes = np.stack([_codes(t) for t in tiles])
         pops = np.stack([popcount_rows(t.packed) for t in tiles])
         records = records_from_codes_batch(codes, pops, 24)
         for i, tile in enumerate(tiles):
@@ -207,36 +206,34 @@ class TestFusedCacheAndProfile:
         """Duplicate tiles inside one batch dedup before cache lookup."""
         tile_bits = rng.random((64, 16)) < 0.3
         stacked = SpikeMatrix(np.vstack([tile_bits] * 4))
-        cache = ForestCache(64)
-        FusedBackend().matrix_records(stacked, 64, 16, cache=cache)
-        assert cache.misses == 1
-        assert cache.hits == 0
+        engine = ProsperityEngine("fused", tile_m=64, tile_k=16, cache_size=64)
+        engine.transform_matrix(stacked)
+        assert engine.cache.misses == 1
+        assert engine.cache.hits == 0
 
-    def test_cache_prefilled_by_vectorized_path(self, rng):
-        """Fused lookups share content keys with the per-tile put path."""
+    def test_cache_prefilled_by_per_tile_path(self, rng):
+        """Planned lookups share content keys with the per-tile put path
+        (``Backend.matrix_records``, the base per-tile loop)."""
         matrix = random_spike_matrix(64, 32, 0.25, rng, 0.2)
-        cache = ForestCache(256)
-        expected = get_backend("vectorized").matrix_records(
-            matrix, 32, 16, cache=cache
+        engine = ProsperityEngine("fused", tile_m=32, tile_k=16, cache_size=256)
+        expected = get_backend("reference").matrix_records(
+            matrix, 32, 16, cache=engine.cache
         )
-        misses = cache.misses
-        actual = FusedBackend().matrix_records(matrix, 32, 16, cache=cache)
+        misses = engine.cache.misses
+        actual = engine.transform_matrix(matrix).tile_records
         assert np.array_equal(expected, actual)
-        assert cache.misses == misses  # every unique tile was a hit
+        assert engine.cache.misses == misses  # every unique tile was a hit
 
     def test_profile_accumulates_stages(self, rng):
         backend = FusedBackend()
-        assert set(backend.profile) == set(PROFILE_STAGES)
+        assert set(backend.profile) == set(KERNEL_STAGES)
         matrix = random_spike_matrix(256, 64, 0.2, rng, 0.3)
-        backend.matrix_records(matrix, 64, 16)
-        assert backend.profile["pack"] > 0
+        ProsperityEngine(backend, tile_m=64, tile_k=16).transform_matrix(matrix)
         assert backend.profile["select"] > 0
         assert backend.profile["record"] > 0
 
     def test_engine_report_profile(self, rng):
-        engine = ProsperityEngine(
-            backend="fused", tile_m=64, tile_k=16, plan="matrix"
-        )
+        engine = ProsperityEngine(backend="fused", tile_m=64, tile_k=16)
         from repro.snn.trace import GeMMWorkload
 
         trace = [
@@ -244,25 +241,22 @@ class TestFusedCacheAndProfile:
                 name="w", spikes=random_spike_matrix(128, 32, 0.3, rng), n=8
             )
         ]
-        report = engine.run(trace, batch=1)
-        assert set(report.profile) >= set(PROFILE_STAGES)
+        report = engine.run(trace)
+        assert set(report.profile) >= set(KERNEL_STAGES)
         assert all(seconds >= 0 for seconds in report.profile.values())
         assert report.backend == "fused"
 
-    def test_engine_run_matches_vectorized(self, vgg_trace):
-        vec = ProsperityEngine(
-            backend="vectorized", tile_m=256, tile_k=16, plan="matrix"
-        )
-        fused = ProsperityEngine(
-            backend="fused", tile_m=256, tile_k=16, plan="matrix"
-        )
-        vec_report = vec.run(vgg_trace, batch=8)
-        fused_report = fused.run(vgg_trace, batch=8)
-        assert [r.name for r in vec_report.runs] == [
-            r.name for r in fused_report.runs
+    def test_engine_run_matches_core(self, vgg_trace):
+        """The trace-planned run equals a per-workload core transform."""
+        fused_report = ProsperityEngine(
+            backend="fused", tile_m=256, tile_k=16
+        ).run(vgg_trace)
+        assert [r.name for r in fused_report.runs] == [
+            w.name for w in vgg_trace.workloads
         ]
-        for mine, theirs in zip(fused_report.runs, vec_report.runs):
-            assert np.array_equal(mine.records, theirs.records), mine.name
+        for mine, workload in zip(fused_report.runs, vgg_trace.workloads):
+            theirs = transform_matrix(workload.spikes, 256, 16, keep_transforms=False)
+            assert np.array_equal(mine.records, theirs.tile_records), mine.name
             assert vars(mine.stats) == vars(theirs.stats)
 
     def test_verify_trace(self, rng):

@@ -1,4 +1,4 @@
-"""Engine pipeline: forest cache, batching, and simulator integration."""
+"""Engine pipeline: forest cache, trace-planned runs, simulator integration."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 from repro.core.prosparsity import transform_matrix
 from repro.core.spike_matrix import SpikeMatrix, SpikeTile, random_spike_matrix
 from repro.engine import (
-    PLAN_MODES,
     ForestCache,
     ProsperityEngine,
     stats_from_records,
@@ -51,7 +50,7 @@ class TestForestCache:
         assert cache.get_record(tiles[2].m, tiles[2].k, tiles[2].packed) == (2,)
 
     def test_forest_rebinds_to_new_tile(self, rng):
-        engine = ProsperityEngine(backend="vectorized", tile_m=16, tile_k=8)
+        engine = ProsperityEngine(backend="fused", tile_m=16, tile_k=8)
         bits = rng.random((16, 8)) < 0.4
         tile_a = SpikeTile(bits)
         forest_a = engine._forest_for(tile_a)
@@ -87,7 +86,7 @@ class TestForestCache:
 
     def test_eviction_drops_both_slots(self, rng):
         """Evicting an entry loses its record and its forest together."""
-        engine = ProsperityEngine(backend="vectorized", tile_m=8, tile_k=8,
+        engine = ProsperityEngine(backend="fused", tile_m=8, tile_k=8,
                                   cache_size=1)
         tile_a = SpikeTile(rng.random((8, 8)) < 0.5)
         tile_b = SpikeTile(rng.random((8, 8)) < 0.5)
@@ -100,7 +99,7 @@ class TestForestCache:
     def test_dual_slot_fill_shares_one_entry(self, rng):
         """Record and forest slots for one content key share an entry."""
         cache = ForestCache(capacity=4)
-        engine = ProsperityEngine(backend="vectorized", tile_m=16, tile_k=8,
+        engine = ProsperityEngine(backend="fused", tile_m=16, tile_k=8,
                                   cache_size=0)
         tile = SpikeTile(rng.random((16, 8)) < 0.4)
         forest = engine.backend.forest(tile)
@@ -130,40 +129,34 @@ class TestForestCache:
 
 
 class TestEngineTransform:
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("backend", ["reference", "fused"])
     def test_matches_core_transform(self, backend, rng):
         matrix = random_spike_matrix(200, 50, 0.2, rng, 0.4)
         core = transform_matrix(matrix, 64, 16, keep_transforms=False)
-        for plan in PLAN_MODES:
-            engine = ProsperityEngine(
-                backend=backend, tile_m=64, tile_k=16, plan=plan
-            )
-            mine = engine.transform_matrix(matrix)
-            assert np.array_equal(core.tile_records, mine.tile_records), plan
-            assert vars(core.stats) == vars(mine.stats), plan
+        engine = ProsperityEngine(backend=backend, tile_m=64, tile_k=16)
+        mine = engine.transform_matrix(matrix)
+        assert np.array_equal(core.tile_records, mine.tile_records)
+        assert vars(core.stats) == vars(mine.stats)
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("backend", ["reference", "fused"])
     def test_sampled_matches_core(self, backend, rng):
         matrix = random_spike_matrix(400, 60, 0.15, rng, 0.3)
         core = transform_matrix(
             matrix, 64, 16, keep_transforms=False, max_tiles=6,
             rng=np.random.default_rng(9),
         )
-        for plan in PLAN_MODES:
-            engine = ProsperityEngine(
-                backend=backend, tile_m=64, tile_k=16, plan=plan
-            )
-            mine = engine.transform_matrix(
-                matrix, max_tiles=6, rng=np.random.default_rng(9)
-            )
-            assert np.array_equal(core.tile_records, mine.tile_records), plan
-            assert core.stats.sample_fraction == pytest.approx(
-                mine.stats.sample_fraction
-            )
+        engine = ProsperityEngine(backend=backend, tile_m=64, tile_k=16)
+        mine = engine.transform_matrix(
+            matrix, max_tiles=6, rng=np.random.default_rng(9)
+        )
+        assert np.array_equal(core.tile_records, mine.tile_records)
+        assert core.stats.sample_fraction == pytest.approx(
+            mine.stats.sample_fraction
+        )
 
     def test_keep_transforms_builds_plans(self, rng):
         matrix = random_spike_matrix(100, 20, 0.3, rng, 0.2)
-        engine = ProsperityEngine(backend="vectorized", tile_m=32, tile_k=8)
+        engine = ProsperityEngine(backend="fused", tile_m=32, tile_k=8)
         result = engine.transform_matrix(matrix, keep_transforms=True)
         core = transform_matrix(matrix, 32, 8, keep_transforms=True)
         assert len(result.transforms) == len(core.transforms)
@@ -173,7 +166,7 @@ class TestEngineTransform:
 
     def test_cache_accelerates_repeat_transform(self, rng):
         matrix = random_spike_matrix(128, 32, 0.2, rng, 0.3)
-        engine = ProsperityEngine(backend="vectorized", tile_m=64, tile_k=16)
+        engine = ProsperityEngine(backend="fused", tile_m=64, tile_k=16)
         first = engine.transform_matrix(matrix)
         misses_after_first = engine.cache.misses
         second = engine.transform_matrix(matrix)
@@ -200,7 +193,8 @@ class TestEngineTransform:
 
 class TestBatchedRun:
     def test_batching_preserves_records(self, rng):
-        """Stacked batches must equal workload-at-a-time processing."""
+        """Cross-workload bucket batching must equal workload-at-a-time
+        core processing, across unaligned rows and mixed K."""
         workloads = [
             _workload("a", rng.random((128, 32)) < 0.2),
             _workload("b", rng.random((128, 32)) < 0.3),
@@ -213,51 +207,53 @@ class TestBatchedRun:
             transform_matrix(w.spikes, engine_m, 16, keep_transforms=False)
             for w in workloads
         ]
-        for batch in (1, 2, 8):
-            engine = ProsperityEngine(
-                backend="vectorized", tile_m=engine_m, tile_k=16, plan="matrix"
-            )
-            report = engine.run(workloads, batch=batch)
-            assert [r.name for r in report.runs] == list("abcde")
-            for run, ref in zip(report.runs, baseline):
-                assert np.array_equal(run.records, ref.tile_records), (
-                    run.name,
-                    batch,
-                )
-                assert vars(run.stats) == vars(ref.stats)
+        engine = ProsperityEngine(backend="fused", tile_m=engine_m, tile_k=16)
+        report = engine.run(workloads)
+        assert [r.name for r in report.runs] == list("abcde")
+        for run, ref in zip(report.runs, baseline):
+            assert np.array_equal(run.records, ref.tile_records), run.name
+            assert vars(run.stats) == vars(ref.stats)
 
     def test_batch_groups_respect_alignment(self, rng):
-        engine = ProsperityEngine(tile_m=64, tile_k=16)
+        """A ragged workload mid-trace neither splits nor shifts the
+        tiles of the aligned workloads planned after it."""
         aligned = _workload("a", rng.random((128, 32)) < 0.2)
         ragged = _workload("r", rng.random((96, 32)) < 0.2)
-        groups = engine._batch_groups([aligned, aligned, ragged, aligned], 8)
-        # The ragged workload may end a group but never precede one.
-        assert [len(g) for g in groups] == [3, 1]
+        trace = [aligned, aligned, ragged, aligned]
+        report = ProsperityEngine(backend="fused", tile_m=64, tile_k=16).run(trace)
+        for run, workload in zip(report.runs, trace):
+            core = transform_matrix(workload.spikes, 64, 16, keep_transforms=False)
+            assert np.array_equal(run.records, core.tile_records), run.name
+        # 3 x 4 aligned tiles fold onto one workload's 4; the ragged
+        # workload adds 2 full and 2 partial-row tiles of its own.
+        assert report.planned_tiles == 16
+        assert report.unique_tiles == 8
 
     def test_run_report_totals(self, rng):
         trace_workloads = [
             _workload("x", rng.random((64, 16)) < 0.3),
             _workload("y", rng.random((64, 16)) < 0.3),
         ]
-        engine = ProsperityEngine(
-            backend="vectorized", tile_m=64, tile_k=16, plan="matrix"
-        )
-        report = engine.run(trace_workloads, batch=4)
+        engine = ProsperityEngine(backend="fused", tile_m=64, tile_k=16)
+        report = engine.run(trace_workloads)
         assert report.total_tiles == sum(r.tiles for r in report.runs)
         assert report.tiles_per_sec > 0
         assert report.cache_hits + report.cache_misses > 0
-        assert report.backend == "vectorized"
+        assert report.backend == "fused"
 
     def test_identical_timestep_tiles_hit_cache(self, rng):
-        """Repeated spike tiles across timesteps must be cache hits."""
+        """Repeated spike tiles across timesteps compute once, then hit
+        the cache on the next run; records stay the core path's."""
         bits = rng.random((64, 16)) < 0.3
         repeated = np.vstack([bits, bits, bits, bits])  # 4 "timesteps"
-        engine = ProsperityEngine(
-            backend="vectorized", tile_m=64, tile_k=16, plan="matrix"
-        )
-        engine.run([_workload("t", repeated)], batch=1)
-        assert engine.cache.hits >= 3
-        assert engine.cache.misses <= 1
+        engine = ProsperityEngine(backend="fused", tile_m=64, tile_k=16)
+        first = engine.run([_workload("t", repeated)])
+        assert (engine.cache.hits, engine.cache.misses) == (0, 1)
+        second = engine.run([_workload("t", repeated)])
+        assert (second.cache_hits, second.cache_misses) == (1, 0)
+        core = transform_matrix(repeated, 64, 16, keep_transforms=False)
+        for report in (first, second):
+            assert np.array_equal(report.runs[0].records, core.tile_records)
 
     def test_identical_timestep_tiles_dedup_under_trace_plan(self, rng):
         """The trace plan folds repeated timestep tiles before the kernel."""
@@ -270,19 +266,20 @@ class TestBatchedRun:
         assert report.unique_tiles == 1
 
     def test_invalid_batch_rejected(self, rng):
+        """Batching is the planner's job; there is no batch size to pass."""
         engine = ProsperityEngine()
-        with pytest.raises(ValueError, match="batch"):
-            engine.run([_workload("a", rng.random((8, 8)) < 0.5)], batch=0)
+        with pytest.raises(TypeError, match="batch"):
+            engine.run([_workload("a", rng.random((8, 8)) < 0.5)], batch=4)
 
-    def test_verify_trace_passes_for_vectorized(self, rng):
+    def test_verify_trace_passes_for_fused(self, rng):
         workloads = [_workload("v", rng.random((96, 24)) < 0.25)]
-        engine = ProsperityEngine(backend="vectorized", tile_m=32, tile_k=8)
+        engine = ProsperityEngine(backend="fused", tile_m=32, tile_k=8)
         assert engine.verify_trace(workloads)
         assert engine.verify_trace(workloads, max_tiles=4)
 
 
 class TestSimulatorIntegration:
-    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    @pytest.mark.parametrize("backend", ["reference", "fused"])
     def test_simulator_results_backend_independent(self, backend, vgg_trace):
         from repro.arch.simulator import ProsperitySimulator
 
@@ -302,7 +299,7 @@ class TestSimulatorIntegration:
         from repro.arch.simulator import ProsperitySimulator
 
         engine = ProsperityEngine(
-            backend="vectorized",
+            backend="fused",
             tile_m=DEFAULT_CONFIG.tile_m,
             tile_k=DEFAULT_CONFIG.tile_k,
         )
@@ -322,7 +319,7 @@ class TestSimulatorIntegration:
         )
         m_vec, k_vec = sweep_tile_sizes(
             [vgg_trace], m_values=(64,), k_values=(16,), max_tiles=4,
-            rng=np.random.default_rng(2), backend="vectorized",
+            rng=np.random.default_rng(2), backend="fused",
         )
         assert m_ref[0].product_density == pytest.approx(m_vec[0].product_density)
         assert k_ref[0].latency_vs_bit == pytest.approx(k_vec[0].latency_vs_bit)
@@ -335,7 +332,7 @@ class TestCliRun:
         assert main(
             [
                 "run", "--model", "lenet5", "--dataset", "mnist",
-                "--backend", "vectorized", "--batch", "4", "--verify",
+                "--backend", "fused", "--verify",
             ]
         ) == 0
         out = capsys.readouterr().out
@@ -347,6 +344,6 @@ class TestCliRun:
 
         assert main(
             ["run", "--model", "lenet5", "--dataset", "mnist",
-             "--backend", "reference", "--batch", "1"]
+             "--backend", "reference"]
         ) == 0
         assert "backend=reference" in capsys.readouterr().out

@@ -1,9 +1,9 @@
 """Trace-level execution planner: cross-workload batching stays exact.
 
 The acceptance contract: tile records produced by the trace-level
-planner (``plan="trace"``) are bit-identical to the per-matrix fused
-output — and to the reference oracle — for every backend and worker
-count, on ragged shapes, awkward packed widths, and sampled subsets.
+planner are bit-identical to the per-tile :mod:`repro.core` transform
+for every backend, on ragged shapes, awkward packed widths, and sampled
+subsets.
 """
 
 from __future__ import annotations
@@ -11,17 +11,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import prosparsity as core
 from repro.core.spike_matrix import SpikeMatrix, random_spike_matrix
-from repro.engine import (
-    PLAN_MODES,
-    BufferArena,
-    ProsperityEngine,
-    ShardedBackend,
-    TracePlanner,
-    validate_plan_mode,
-)
+from repro.engine import BufferArena, ProsperityEngine, TracePlanner
 from repro.engine.backends import ReferenceBackend
-from repro.engine.planner import PLANNED_PROFILE_STAGES
+from repro.engine.planner import PROFILE_STAGES
 from repro.snn.trace import GeMMWorkload
 
 TILE_M, TILE_K = 64, 16
@@ -45,11 +39,12 @@ def _matrix_records(workloads, backend, tile_m=TILE_M, tile_k=TILE_K):
     ]
 
 
-@pytest.fixture(scope="module")
-def pooled_sharded():
-    backend = ShardedBackend(workers=2)
-    yield backend
-    backend.close()
+def _core_records(workloads, tile_m=TILE_M, tile_k=TILE_K):
+    """Per-workload records of the :mod:`repro.core` oracle."""
+    return [
+        core.transform_matrix(w.spikes, tile_m, tile_k, keep_transforms=False).tile_records
+        for w in workloads
+    ]
 
 
 class TestBufferArena:
@@ -97,23 +92,18 @@ class TestBufferArena:
 
 
 class TestPlanModeValidation:
-    def test_modes(self):
-        assert PLAN_MODES == ("matrix", "trace")
-        for mode in PLAN_MODES:
-            assert validate_plan_mode(mode) == mode
-
     def test_rejects_unknown(self):
-        with pytest.raises(ValueError, match="plan mode"):
-            validate_plan_mode("async")
-        with pytest.raises(ValueError, match="plan mode"):
-            ProsperityEngine(plan="bogus")
+        """There is one plan: asking for another is an error, never a
+        silently ignored keyword."""
+        with pytest.raises(TypeError, match="plan"):
+            ProsperityEngine(plan="matrix")
         engine = ProsperityEngine(backend="fused")
-        with pytest.raises(ValueError, match="plan mode"):
-            engine.run([], plan="bogus")
+        with pytest.raises(TypeError, match="plan"):
+            engine.run([], plan="matrix")
 
 
 class TestPlannedRecordEquivalence:
-    """The acceptance property: planner output == per-matrix fused == oracle."""
+    """The acceptance property: planner output == the core oracle."""
 
     #: Ragged rows/cols, packed widths of 2/3/5/7 bytes, mixed densities.
     SPECS = (
@@ -127,55 +117,46 @@ class TestPlannedRecordEquivalence:
     def _trace(self, rng):
         return _workloads(rng, self.SPECS)
 
-    @pytest.mark.parametrize("backend", ["reference", "vectorized", "fused"])
+    @pytest.mark.parametrize("backend", ["reference", "fused"])
     def test_planner_matches_oracle_all_backends(self, rng, backend):
         workloads = self._trace(rng)
-        expected = _matrix_records(workloads, ReferenceBackend())
+        expected = _core_records(workloads)
         report = ProsperityEngine(
-            backend=backend, tile_m=TILE_M, tile_k=TILE_K, plan="trace"
+            backend=backend, tile_m=TILE_M, tile_k=TILE_K
         ).run(workloads)
         assert report.plan == "trace"
         assert len(report.runs) == len(expected)
         for run, records in zip(report.runs, expected):
             assert np.array_equal(run.records, records), (backend, run.name)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_planner_matches_fused_sharded(self, rng, workers, pooled_sharded):
-        workloads = self._trace(rng)
-        from repro.engine import FusedBackend
-
-        expected = _matrix_records(workloads, FusedBackend())
-        backend = pooled_sharded if workers == 2 else ShardedBackend(workers=1)
-        try:
-            report = ProsperityEngine(
-                backend=backend, tile_m=TILE_M, tile_k=TILE_K, plan="trace"
-            ).run(workloads)
-            for run, records in zip(report.runs, expected):
-                assert np.array_equal(run.records, records), (workers, run.name)
-        finally:
-            if backend is not pooled_sharded:
-                backend.close()
-
     def test_plan_modes_identical_on_real_trace(self, vgg_trace):
-        matrix_report = ProsperityEngine(
-            backend="fused", tile_m=256, tile_k=16, plan="matrix"
-        ).run(vgg_trace, batch=8)
+        """One whole-trace plan, one plan per workload, and the core
+        oracle agree on every VGG-16 workload."""
         trace_report = ProsperityEngine(
-            backend="fused", tile_m=256, tile_k=16, plan="trace"
+            backend="fused", tile_m=256, tile_k=16
         ).run(vgg_trace)
-        for mine, theirs in zip(trace_report.runs, matrix_report.runs):
-            assert np.array_equal(mine.records, theirs.records), mine.name
+        per_matrix = ProsperityEngine(
+            backend="fused", tile_m=256, tile_k=16, cache_size=0
+        )
+        expected = _core_records(vgg_trace.workloads, 256, 16)
+        for mine, workload, theirs in zip(
+            trace_report.runs, vgg_trace.workloads, expected
+        ):
+            alone = per_matrix.run([workload]).runs[0]
+            assert np.array_equal(mine.records, alone.records), mine.name
+            assert np.array_equal(mine.records, theirs), mine.name
 
-    def test_run_plan_override(self, rng):
-        """`run(plan=...)` overrides the engine default per call."""
+    def test_warm_run_matches_core(self, rng):
+        """A second run on the same engine (cache and arena warm) still
+        equals the core oracle, and both runs are labelled ``trace``."""
         workloads = self._trace(rng)
         engine = ProsperityEngine(backend="fused", tile_m=TILE_M, tile_k=TILE_K)
-        default = engine.run(workloads)
-        overridden = engine.run(workloads, plan="matrix")
-        assert default.plan == "trace" and overridden.plan == "matrix"
-        assert engine.run(workloads).plan == "trace"  # per call only
-        for mine, theirs in zip(overridden.runs, default.runs):
-            assert np.array_equal(mine.records, theirs.records)
+        cold = engine.run(workloads)
+        warm = engine.run(workloads)
+        assert cold.plan == warm.plan == "trace"
+        assert warm.cache_misses == 0
+        for mine, theirs in zip(warm.runs, _core_records(workloads)):
+            assert np.array_equal(mine.records, theirs)
 
 
 class TestPartialResults:
@@ -266,7 +247,7 @@ class TestDedupStats:
         base = _workloads(rng, [(128, 32, 0.3, 0.5)])
         repeated = base * 4  # four identical "timesteps"
         report = ProsperityEngine(
-            backend="fused", tile_m=TILE_M, tile_k=TILE_K, plan="trace"
+            backend="fused", tile_m=TILE_M, tile_k=TILE_K
         ).run(repeated)
         assert report.planned_tiles == 4 * base[0].spikes.num_tiles(TILE_M, TILE_K)
         assert report.unique_tiles <= report.planned_tiles // 4
@@ -275,28 +256,28 @@ class TestDedupStats:
         for run in report.runs[1:]:
             assert np.array_equal(run.records, report.runs[0].records)
 
-    def test_matrix_mode_reports_no_dedup(self, rng):
+    def test_single_tile_trace_reports_unit_dedup(self, rng):
+        """One tile has nothing to dedup against: planned == unique."""
+        workloads = _workloads(rng, [(64, 16, 0.3, 0.0)])
         report = ProsperityEngine(
-            backend="fused", tile_m=TILE_M, tile_k=TILE_K, plan="matrix"
-        ).run(_workloads(rng, [(64, 16, 0.3, 0.0)]))
-        assert report.planned_tiles == 0
-        assert report.unique_tiles == 0
-        assert report.dedup_ratio == 0.0
+            backend="fused", tile_m=TILE_M, tile_k=TILE_K
+        ).run(workloads)
+        assert report.planned_tiles == report.unique_tiles == 1
+        assert report.dedup_ratio == 1.0
+        assert np.array_equal(report.runs[0].records, _core_records(workloads)[0])
 
     def test_planned_profile_stages(self, rng):
         report = ProsperityEngine(
-            backend="fused", tile_m=TILE_M, tile_k=TILE_K, plan="trace"
+            backend="fused", tile_m=TILE_M, tile_k=TILE_K
         ).run(_workloads(rng, [(128, 32, 0.3, 0.5), (64, 16, 0.2, 0.0)]))
-        assert set(report.profile) == set(PLANNED_PROFILE_STAGES)
+        assert set(report.profile) == set(PROFILE_STAGES)
         assert all(seconds >= 0.0 for seconds in report.profile.values())
 
 
 class TestArenaReuse:
     def test_second_run_allocates_nothing(self, rng):
         workloads = _workloads(rng, [(130, 17, 0.3, 0.4), (64, 33, 0.2, 0.0)])
-        engine = ProsperityEngine(
-            backend="fused", tile_m=TILE_M, tile_k=TILE_K, plan="trace"
-        )
+        engine = ProsperityEngine(backend="fused", tile_m=TILE_M, tile_k=TILE_K)
         engine.run(workloads)
         arena = engine.planner.arena
         allocations = arena.allocations
@@ -312,9 +293,7 @@ class TestArenaReuse:
         """Records are freshly allocated, never views of arena slabs."""
         first_trace = _workloads(rng, [(128, 16, 0.3, 0.4)])
         second_trace = _workloads(rng, [(128, 16, 0.6, 0.1)])
-        engine = ProsperityEngine(
-            backend="fused", tile_m=TILE_M, tile_k=TILE_K, plan="trace"
-        )
+        engine = ProsperityEngine(backend="fused", tile_m=TILE_M, tile_k=TILE_K)
         first = engine.run(first_trace)
         kept = first.runs[0].records.copy()
         engine.run(second_trace)  # overwrites arena slabs
@@ -324,27 +303,22 @@ class TestArenaReuse:
 class TestTransformTrace:
     def test_matches_per_matrix_loop(self, rng):
         workloads = _workloads(rng, [(130, 17, 0.3, 0.4), (64, 16, 0.2, 0.0)])
-        engine = ProsperityEngine(
-            backend="fused", tile_m=TILE_M, tile_k=TILE_K, plan="trace"
-        )
+        engine = ProsperityEngine(backend="fused", tile_m=TILE_M, tile_k=TILE_K)
         loop = [
-            ProsperityEngine(
-                backend="fused", tile_m=TILE_M, tile_k=TILE_K, plan="matrix"
-            ).transform_matrix(w.spikes)
+            core.transform_matrix(w.spikes, TILE_M, TILE_K, keep_transforms=False)
             for w in workloads
         ]
         planned = engine.transform_trace(workloads)
         for mine, theirs in zip(planned, loop):
             assert np.array_equal(mine.tile_records, theirs.tile_records)
+            assert vars(mine.stats) == vars(theirs.stats)
 
     def test_accepts_bare_matrices(self, rng):
         matrices = [
             random_spike_matrix(96, 32, 0.3, rng),
             SpikeMatrix(rng.random((64, 16)) < 0.2).bits,  # raw ndarray
         ]
-        engine = ProsperityEngine(
-            backend="fused", tile_m=TILE_M, tile_k=TILE_K, plan="trace"
-        )
+        engine = ProsperityEngine(backend="fused", tile_m=TILE_M, tile_k=TILE_K)
         results = engine.transform_trace(matrices)
         assert len(results) == 2
         oracle = ReferenceBackend()
@@ -356,7 +330,7 @@ class TestTransformTrace:
             )
 
     def test_empty_trace(self):
-        engine = ProsperityEngine(backend="fused", plan="trace")
+        engine = ProsperityEngine(backend="fused")
         assert engine.transform_trace([]) == []
         report = engine.run([])
         assert report.runs == [] and report.planned_tiles == 0
@@ -366,11 +340,9 @@ class TestPlannedGemm:
     def test_integer_weights_exact(self, rng):
         matrix = random_spike_matrix(130, 33, 0.3, rng, 0.4)
         weights = rng.integers(-5, 6, size=(33, 9))
-        per_tile = ProsperityEngine(
-            backend="vectorized", tile_m=TILE_M, tile_k=TILE_K, plan="matrix"
-        ).execute_gemm(matrix, weights)
+        per_tile = core.execute_gemm(matrix, weights, TILE_M, TILE_K)
         planned = ProsperityEngine(
-            backend="vectorized", tile_m=TILE_M, tile_k=TILE_K, plan="trace"
+            backend="fused", tile_m=TILE_M, tile_k=TILE_K
         ).execute_gemm(matrix, weights)
         assert np.array_equal(per_tile, planned)
         dense = matrix.bits.astype(np.int64) @ weights.astype(np.int64)
@@ -379,14 +351,13 @@ class TestPlannedGemm:
     def test_float_weights_same_summation_order(self, rng):
         matrix = random_spike_matrix(96, 40, 0.25, rng, 0.3)
         weights = rng.standard_normal((40, 5))
-        per_tile = ProsperityEngine(
-            backend="vectorized", tile_m=32, tile_k=16, plan="matrix"
-        ).execute_gemm(matrix, weights)
+        per_tile = core.execute_gemm(matrix, weights, 32, 16)
         planned = ProsperityEngine(
-            backend="vectorized", tile_m=32, tile_k=16, plan="trace"
+            backend="reference", tile_m=32, tile_k=16
         ).execute_gemm(matrix, weights)
-        # Accumulation runs in row-major tile order in both paths, so
-        # even float outputs are bit-equal, not merely close.
+        # Accumulation runs in row-major tile order in both paths, and
+        # the reference backend seeds each row exactly as the core does,
+        # so even float outputs are bit-equal, not merely close.
         assert np.array_equal(per_tile, planned)
 
 
@@ -426,7 +397,7 @@ class TestCliPlan:
         assert main(
             [
                 "run", "--model", "lenet5", "--dataset", "mnist",
-                "--backend", "fused", "--plan", "trace",
+                "--backend", "fused",
             ]
         ) == 0
         out = capsys.readouterr().out

@@ -8,7 +8,7 @@ violations map to the documented HTTP statuses (429 / 400 / 504, plus
 500 job-scoped failures and 503 while draining); graceful drain —
 SIGTERM on the CLI process or ``POST /admin/drain`` in-process — loses
 zero accepted jobs; and the ``reject_request`` / ``slow_request`` /
-``worker_crash`` fault kinds produce clean, job-scoped wire errors, not
+``engine_error`` fault kinds produce clean, job-scoped wire errors, not
 hung connections.
 """
 
@@ -72,8 +72,7 @@ class TestWireBitIdentity:
 
     @pytest.mark.parametrize("backend", available_backends())
     def test_round_trip_is_byte_identical(self, backend):
-        cfg = serve_config(**{"engine.backend": backend,
-                              "engine.plan": "trace"})
+        cfg = serve_config(**{"engine.backend": backend})
         with Session(cfg) as session:
             direct = session.run()
         with ReproServer(cfg) as server:
@@ -136,7 +135,6 @@ class TestCrossTenantCoalescing:
     def test_mixed_tenants_share_one_planner_batch(self):
         cfg = serve_config(**{
             "engine.backend": "fused",
-            "engine.plan": "trace",
             "scheduler.coalesce_window_ms": 200.0,
         })
         with ReproServer(cfg) as server:
@@ -251,12 +249,10 @@ class TestStatusMapping:
         # healthy one still gets bit-identical records.
         cfg = serve_config(**{
             "engine.backend": "fused",
-            "engine.plan": "trace",
             "scheduler.coalesce_window_ms": 200.0,
             "resilience.faults": "poison_job:match=poison-me",
         })
-        with Session(serve_config(**{"engine.backend": "fused",
-                                     "engine.plan": "trace"})) as session:
+        with Session(serve_config(**{"engine.backend": "fused"})) as session:
             direct = session.run()
         outcomes: dict[str, object] = {}
 
@@ -311,22 +307,15 @@ class TestRequestFaultDrills:
                 assert time.perf_counter() - started >= 0.2
                 assert result.kind == "tradeoff"
 
-    def test_worker_crash_is_clean_job_scoped_error_not_a_hang(self):
-        # The chaos drill: a sharded worker dies mid-request with no
-        # rebuild budget and no fallback — the HTTP client must see a
-        # prompt, typed 500, never a hung or severed connection.
+    def test_engine_error_is_clean_job_scoped_error_not_a_hang(self):
+        # The chaos drill: the kernel fails mid-request with no retry
+        # budget — the HTTP client must see a prompt, typed 500, never
+        # a hung or severed connection.
         from repro.api import ServeError
 
         cfg = serve_config(**{
-            "engine.backend": "sharded",
-            "engine.workers": 2,
-            # The trace planner batches unique tiles into stacks large
-            # enough for the worker pool to engage (direct-mode lenet
-            # stacks stay under the inline threshold).
-            "engine.plan": "trace",
-            "resilience.faults": "worker_crash",
-            "resilience.max_pool_rebuilds": 0,
-            "resilience.degrade_on_pool_failure": False,
+            "engine.backend": "fused",
+            "resilience.faults": "engine_error:times=0",
             "resilience.retries": 0,
         })
         with ReproServer(cfg) as server:
@@ -336,7 +325,7 @@ class TestRequestFaultDrills:
                     client.submit("run")
                 elapsed = time.perf_counter() - started
         assert excinfo.value.status == 500
-        assert "pool" in str(excinfo.value).lower()
+        assert "injected engine error" in str(excinfo.value)
         assert elapsed < 60  # a clean error, not a timeout
 
 
@@ -385,7 +374,6 @@ class TestServeCLI:
              "--set", "workload.model=lenet5",
              "--set", "workload.dataset=mnist",
              "--set", "engine.backend=fused",
-             "--set", "engine.plan=trace",
              *extra],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True, env=env,

