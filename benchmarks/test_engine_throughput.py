@@ -10,7 +10,8 @@ whole-trace plan >= 1.5x over one ``transform_trace([w])`` per workload
 
 Results land in ``benchmarks/results/`` (rendered table + JSON) and the
 machine-readable perf trajectory is *appended* to repo-root
-``BENCH_engine.json``: one history record per (git SHA, date), each
+``BENCH_engine.json`` when pytest runs with ``--record-trajectory``
+(a plain run only reads it): one history record per (git SHA, date), each
 holding one entry per (workload, backend) with tiles/sec and speedup —
 the history survives across PRs so the trend is chartable. Before
 appending, the current numbers are compared against the last committed
@@ -18,7 +19,8 @@ record: machine-normalized speedups that regress by more than 2x
 hard-fail, absolute tiles/sec drops only warn (shared CI runners vary
 too much for hard absolute gates); ``REPRO_BENCH_SKIP_REGRESSION=1``
 disables the guard. (``pytest benchmarks/test_engine_throughput.py
---quick`` is the CI smoke mode: one repetition, VGG-16 only.)
+--quick --record-trajectory`` is the CI smoke mode: one repetition,
+VGG-16 only, recorded.)
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import time
 import warnings
 
 import numpy as np
+import pytest
 
 from benchmarks.conftest import save_result
 from repro.analysis.report import format_ratio, format_table
@@ -193,9 +196,12 @@ def _load_history() -> list[dict]:
     )
 
 
-def _append_trajectory(entries: list[dict], quick: bool) -> None:
+def _append_trajectory(entries: list[dict], config: pytest.Config) -> None:
     """Merge entries into the history record keyed by (git SHA, date).
 
+    Writes only under ``--record-trajectory``: a plain test run leaves
+    the committed history untouched (the regression guard still reads
+    it).
     Re-runs on the same commit and day update their record in place
     (keyed per workload/backend); everything older is preserved, so the
     perf history accumulates across PRs instead of being overwritten.
@@ -203,6 +209,9 @@ def _append_trajectory(entries: list[dict], quick: bool) -> None:
     never overwrites full-mode numbers for the same key, and a record
     counts as quick only while *all* of its entries are quick.
     """
+    if not config.getoption("--record-trajectory"):
+        return
+    quick = config.getoption("--quick")
     entries = [dict(entry, quick=quick) for entry in entries]
     history = _load_history()
     key = (_git_sha(), datetime.date.today().isoformat())
@@ -442,7 +451,7 @@ def test_engine_throughput(results_dir, request):
         json.dumps(payload, indent=2) + "\n"
     )
     _check_regression(trajectory)
-    _append_trajectory(trajectory, quick)
+    _append_trajectory(trajectory, request.config)
 
     assert plan_speedups[("vgg16", "cifar10")] >= MIN_VGG16_SPEEDUP, (
         "trace-planned fused speedup "
@@ -546,7 +555,7 @@ def test_trace_planner_speedup(results_dir, request):
                 "speedup_vs_per_workload": speedup,
             },
         ],
-        quick,
+        request.config,
     )
 
     assert speedup >= MIN_PLAN_SPEEDUP, (

@@ -9,7 +9,8 @@ serving scope: one planner batch dedups identical tiles across *all*
 clients (a cross-request dedup ratio near the job count here), so the
 shared kernel computes each distinct tile once for everyone.
 
-Numbers are appended to the ``BENCH_engine.json`` trajectory (workload
+With ``--record-trajectory``, numbers are appended to the
+``BENCH_engine.json`` trajectory (workload
 ``lenet5/mnist[jobs8]``, backends ``session-serial`` /
 ``scheduler-coalesced``) under the same regression guard as the engine
 grid; ``--quick`` runs one repetition for the CI smoke.
@@ -161,7 +162,7 @@ def test_scheduler_coalesced_throughput(results_dir, request):
                 "speedup_vs_fused": speedup,
             },
         ],
-        quick,
+        request.config,
     )
 
     assert speedup >= MIN_COALESCE_SPEEDUP, (
@@ -307,7 +308,7 @@ def test_resilience_overhead(results_dir, request, monkeypatch):
                 "tiles_per_sec": tiles / coalesced_seconds,
             },
         ],
-        quick,
+        request.config,
     )
 
     assert overhead < MAX_RESILIENCE_OVERHEAD, (

@@ -10,7 +10,8 @@ JSON framing, but each coalesce window still merges the concurrent
 requests into one planner batch, so product-sparsity dedup keeps
 working across tenants exactly as it does in-process.
 
-Numbers are appended to the ``BENCH_engine.json`` trajectory (workload
+With ``--record-trajectory``, numbers are appended to the
+``BENCH_engine.json`` trajectory (workload
 ``lenet5/mnist[serveN]``, backends ``session-serial`` /
 ``serve-coalesced``) under the same regression guard as the engine
 grid; ``--quick`` shrinks the flood for the CI smoke.
@@ -199,7 +200,7 @@ def test_serve_wire_throughput(results_dir, request):
                 "speedup_vs_fused": speedup,
             },
         ],
-        quick,
+        request.config,
     )
 
     assert speedup >= MIN_SERVE_SPEEDUP, (

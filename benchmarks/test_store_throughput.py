@@ -17,8 +17,8 @@ pointless — and the cold **run** stays within ``MAX_COLD_OVERHEAD`` of
 store-off, because the hot path only buffers (no IO, no fsync).
 
 Every timed configuration is bit-identical to the reference transform;
-numbers land in ``BENCH_engine.json`` under the shared regression
-guard, keyed as ``fused+store[cold]`` / ``fused+store[warm]``.
+numbers land in ``BENCH_engine.json`` (under ``--record-trajectory``)
+under the shared regression guard, keyed as ``fused+store[cold]`` / ``fused+store[warm]``.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ def test_store_throughput(results_dir, request):
         },
     ]
     _check_regression(entries)
-    _append_trajectory(entries, quick)
+    _append_trajectory(entries, request.config)
     shutil.rmtree(store_path, ignore_errors=True)
 
     assert warm_speedup >= MIN_WARM_SPEEDUP, (

@@ -10,7 +10,8 @@ bounded-latency results; this gate pins how much of the batch path's
 throughput that costs. Bit-identity between the two paths is asserted
 on every run before anything is timed.
 
-Numbers are appended to the ``BENCH_engine.json`` trajectory (backends
+With ``--record-trajectory``, numbers are appended to the
+``BENCH_engine.json`` trajectory (backends
 ``batch-plan`` / ``stream[w<window>]``) under the same regression guard
 as the engine grid; ``--quick`` swaps VGG-16 for LeNet-5 in the CI
 smoke.
@@ -141,7 +142,7 @@ def test_stream_throughput(results_dir, request):
         },
     ]
     _check_regression(entries)
-    _append_trajectory(entries, quick)
+    _append_trajectory(entries, request.config)
 
     assert ratio >= MIN_STREAM_RATIO, (
         f"streaming throughput {ratio:.2f}x of the batch planner on "

@@ -24,3 +24,9 @@ def pytest_addoption(parser):
         default=False,
         help="benchmarks: CI smoke mode (single repetition, reduced grids)",
     )
+    parser.addoption(
+        "--record-trajectory",
+        action="store_true",
+        default=False,
+        help="benchmarks: append this run's numbers to BENCH_engine.json",
+    )

@@ -202,7 +202,10 @@ class ResilienceConfig:
     ``DeadlineExceeded`` instead of running late. ``retries`` /
     ``retry_backoff_ms`` bound re-dispatch of *transient* failures
     (injected ``engine_error`` faults); poisoned jobs are never retried,
-    only isolated. ``faults`` is a fault
+    only isolated. Retries apply only to scheduler-routed jobs
+    (``repro batch``, ``repro serve``, ``Session.submit``); a direct
+    ``Session.run`` (and so ``repro run``) raises the first failure.
+    ``faults`` is a fault
     plan spec for the deterministic injection harness
     (:mod:`repro.engine.faults`) — empty (the default) keeps every
     failure point inert.

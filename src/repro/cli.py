@@ -52,6 +52,7 @@ from repro.api import (
 )
 from repro.api.client import ServeClient, ServeError
 from repro.engine import available_backends
+from repro.engine.faults import FaultInjected
 from repro.engine.store import ResultStore, default_store_path
 from repro.server.protocol import RECORD_MODES
 from repro.workloads import PRESETS
@@ -882,8 +883,11 @@ def main(argv: list[str] | None = None) -> int:
         output = config.to_json() if args.json else config.to_toml()
         print(output, end="" if output.endswith("\n") else "\n")
         return 0
-    with Session(config) as session:
-        output = COMMANDS[args.command](config, session)
+    try:
+        with Session(config) as session:
+            output = COMMANDS[args.command](config, session)
+    except FaultInjected as exc:
+        raise SystemExit(f"repro: error: {type(exc).__name__}: {exc}") from exc
     print(output)
     return 0
 

@@ -8,17 +8,20 @@ batched broadcasts over the stack. Spike rows are packed with
 ``np.packbits`` into fixed-width machine-word *codes*, so the all-pairs
 subset test (the TCAM model) is a broadcast AND/compare over words.
 
-Two kernel-level ideas carry the speed:
+Three kernel-level ideas carry the speed:
 
-* **Sorted-key triangle scan.** Rows and candidate columns are both
-  sorted by the Pruner's descending ``(popcount, index)`` key, packed
-  into one int64 word per row. A candidate is legal exactly when its key
-  is *strictly smaller* than the query row's key (this single comparison
-  subsumes the pop>0, self-exclusion, and exact-match tie-break rules),
-  so in sorted order the legal region is the strict upper triangle.
-  Scanning candidate columns in ascending blocks lets rows resolve at
-  their first hit and skips the lower-triangle half of the subset tests
-  entirely.
+* **Pattern-level Pruner.** Most rows of a spike tile are all-zero or
+  exact repeats of another row. Each tile's rows are sorted by code, a
+  repeated row takes its previous occurrence as prefix (the EM rule),
+  and only the tile's *distinct* nonzero patterns enter the subset
+  search, each keyed by ``(popcount, largest row index)``.
+* **Sorted-key triangle scan.** Patterns are sorted by that descending
+  key; a proper subset always has a strictly smaller key, so the legal
+  region is the strict upper triangle. Scanning candidate columns in
+  ascending blocks lets patterns resolve at their first hit and skips
+  the lower-triangle half of the subset tests entirely. Tiles run in
+  chunks ordered by pattern count, each padded only to its own largest
+  count, so one pattern-rich tile does not inflate its neighbours.
 * **Content dedup.** Tiles are deduplicated by raw packed bytes
   (``np.unique`` over void views — no Python hashing) before any kernel
   runs; each distinct tile content is computed once and results are
@@ -26,9 +29,10 @@ Two kernel-level ideas carry the speed:
   :class:`~repro.engine.pipeline.ForestCache`: one digest per *unique*
   tile serves both the lookup and the fill.
 
-Padding is hoisted: a matrix's packed rows are padded to the machine-word
-byte width once per column block (``padded_codes``) instead of once per
-tile — non-power-of-two byte widths (3, 5, 6, 7 bytes) hit this path.
+Packing is per matrix, not per block: one ``np.packbits`` per column
+shape (one whole-row pack when ``tile_k`` is byte-aligned), padded to the
+machine-word byte width once — non-power-of-two byte widths (3, 5, 6, 7
+bytes) hit this path — then reshaped into tile stacks.
 
 The per-tile entry points (``forest``, ``tile_record``, ``execute``) run
 the same kernels on a one-tile stack. Kernel wall-clock accumulates in
@@ -69,13 +73,11 @@ KERNEL_STAGES = ("select", "record")
 # Smallest unsigned dtype able to hold a packed row of the given byte width.
 _CODE_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
-#: Element budget for one (chunk, m, m) candidate block (bounds peak memory).
+#: Element budget for one (chunk, U, U) pattern candidate block (bounds peak memory).
 _CHUNK_ELEMENT_BUDGET = 1 << 22
 
 #: Candidate columns scanned per block of the triangle scan.
 _COL_BLOCK = 64
-
-_INT32_MAX = np.iinfo(np.int32).max
 
 
 def code_width(nbytes: int) -> int:
@@ -116,60 +118,162 @@ def select_prefixes_batch(codes: np.ndarray, popcounts: np.ndarray) -> np.ndarra
     """Batched Pruner: ``(T, m, W)`` codes -> ``(T, m)`` prefix rows.
 
     Row-for-row identical to :func:`repro.core.forest.select_prefixes`
-    applied per tile. Both rows and candidate columns are sorted by the
-    descending ``(popcount, index)`` key packed into one int64, making
-    the legal region a strict upper triangle that is scanned in
-    ascending column blocks with first-hit resolution.
+    applied per tile. The core Pruner gives row ``i`` the legal
+    candidate ``j`` with the largest ``(popcount, index)`` key, where
+    ``j`` is legal when ``S_j`` is a nonzero subset of ``S_i``, ``j !=
+    i``, and ``j < i`` if ``S_j == S_i`` (EM). The kernel computes that
+    answer over each tile's *distinct* patterns instead of its rows:
+
+    1. Sort each tile's rows by ``(code, row index)`` (a stable argsort
+       for one-word codes, a lexsort over the words otherwise), so equal
+       patterns form runs in ascending row order.
+    2. A repeated row's prefix is the previous row of its run. Every
+       proper subset of ``S_i`` has a smaller popcount, so an EM
+       candidate beats all of them, and among EM candidates (only
+       smaller indices are legal) the largest index is the previous
+       occurrence.
+    3. Zero rows keep ``NO_PREFIX``: nothing nonzero is their subset.
+    4. The first row of a run has no EM candidate, so its prefix is the
+       best *proper*-subset pattern. All rows of a pattern share its
+       popcount, so that pattern's best row is its largest row index,
+       and the pattern's key is ``(popcount, largest row index)``. The
+       sorted-key triangle scan runs over these patterns: sorted by
+       descending key, a proper subset always sits strictly later (its
+       popcount is smaller), so the first subset hit in ascending
+       column blocks is the winner.
+    5. The first row of the run takes the winning pattern's largest row
+       index.
+
+    Tiles are processed in chunks ordered by their pattern count ``u``,
+    each padded only to its own largest ``u`` and bounded so that
+    ``chunk * U * max(U, _COL_BLOCK)`` stays within
+    ``_CHUNK_ELEMENT_BUDGET``; results are scattered back by position,
+    so the stack order never changes a tile's prefixes.
     """
     T, m, W = codes.shape
-    prefix = np.full((T, m), NO_PREFIX, dtype=np.int64)
+    prefix = np.full(T * m, NO_PREFIX, dtype=np.int64)
     if T == 0 or m == 0:
-        return prefix
-    # int64 key: popcount can reach tile_k and the index can reach
-    # tile_m, either of which may exceed 16 bits for exotic tilings.
-    key = (popcounts.astype(np.int64) << 32) | np.arange(m, dtype=np.int64)
-    order = np.argsort(key, axis=1)[:, ::-1]  # keys are unique: exact order
-    spops = np.take_along_axis(popcounts, order, axis=1)
-    # Zero-popcount columns sort last and can never be prefixes. ncol is
-    # a chunk-wide max, so a tile with fewer nonzero columns still scans
-    # some of its zero columns: a row whose first subset hit lands on
-    # one is exhausted (every later column is zero too) and resolves to
-    # NO_PREFIX — that is the `live` filter below.
-    ncol = int((spops > 0).sum(axis=1).max(initial=0))
-    prefix_sorted = np.full((T, m), NO_PREFIX, dtype=np.int64)
-    if ncol:
+        return prefix.reshape(T, m)
+    first, last_row, pattern_codes, counts = _distinct_patterns(
+        codes, popcounts, prefix
+    )
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    # A tile with fewer than two patterns has no proper-subset prefix.
+    s = int(np.searchsorted(counts, 2))
+    while s < T:
+        rest = counts[s:]
+        cost = np.arange(1, T - s + 1) * rest * np.maximum(rest, _COL_BLOCK)
+        e = s + max(1, int(np.searchsorted(cost, _CHUNK_ELEMENT_BUDGET, "right")))
+        u = counts[s:e]
+        lo, hi = starts[s], starts[e]
+        local = np.repeat(np.arange(e - s), u)
+        slot = np.arange(lo, hi) - np.repeat(starts[s:e], u)
+        stack = np.zeros((e - s, int(u[-1]), W), dtype=codes.dtype)
+        stack[local, slot] = pattern_codes[lo:hi]
+        # 5. The first row of each pattern takes its winner's last row.
+        winner = _triangle_scan(stack, u)[local, slot]
+        won = np.flatnonzero(winner >= 0)
+        prefix[first[lo:hi][won]] = last_row[starts[s:e][local[won]] + winner[won]]
+        s = e
+    return prefix.reshape(T, m)
+
+
+def _distinct_patterns(
+    codes: np.ndarray, popcounts: np.ndarray, prefix: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Steps 1-4 of :func:`select_prefixes_batch` for a ``(T, m, W)`` stack.
+
+    Writes the prefixes of repeated rows into the flat ``prefix`` and
+    returns each tile's distinct nonzero patterns as ``(first, last_row,
+    codes, counts)``: the flat position of a pattern's first row, its
+    largest row index and its code, grouped by tile in ascending pattern
+    count and by descending ``(popcount, last_row)`` key within a tile,
+    plus the per-tile pattern counts in that tile order. Row-sized
+    temporaries are few and narrow (they scale with the whole stack)
+    and are released on return.
+    """
+    T, m, W = codes.shape
+    # 1. Sorted row order per tile, as flat positions into the stack
+    # (``% m`` recovers the tile-local row).
+    if W == 1:
+        flat = np.argsort(codes[:, :, 0], axis=1, kind="stable")
+    else:
+        flat = np.lexsort(codes.transpose(2, 0, 1), axis=1)
+    flat += np.arange(0, T * m, m)[:, None]
+    flat = flat.ravel()
+    scodes = codes.reshape(T * m, W)[flat]
+    live = (scodes != 0).any(axis=1)
+    repeat = np.zeros(T * m, dtype=bool)
+    repeat[1:] = (scodes[1:] == scodes[:-1]).all(axis=1)
+    repeat[::m] = False  # runs never cross tiles
+    # 2-3. Repeated nonzero rows reuse their previous occurrence.
+    dup = np.flatnonzero(repeat & live)
+    prefix[flat[dup]] = flat[dup - 1] % m
+    # 4. One entry per distinct nonzero pattern: its first and last row
+    # (``live`` is constant along a run, so heads and tails pair up).
+    run_end = np.ones(T * m, dtype=bool)
+    run_end[:-1] = ~repeat[1:]
+    head = np.flatnonzero(live & ~repeat)
+    last_row = flat[np.flatnonzero(live & run_end)] % m
+    tile = head // m
+    pops = popcounts.ravel()[flat[head]].astype(np.int64, copy=False)
+    # Order: tiles by pattern count, then descending key, as one int64
+    # sort key whose fields fit easily for any stack held in memory.
+    counts = np.bincount(tile, minlength=T)
+    tile_order = np.argsort(counts, kind="stable")
+    rank = np.empty(T, dtype=np.int64)
+    rank[tile_order] = np.arange(T)
+    row_bits = int(m - 1).bit_length()
+    pop_max = int(pops.max(initial=0))
+    descending = ((pop_max - pops) << row_bits) | (m - 1 - last_row)
+    by_rank = np.argsort(
+        (rank[tile] << (row_bits + pop_max.bit_length())) | descending
+    )
+    return (
+        flat[head][by_rank],
+        last_row[by_rank],
+        scodes[head][by_rank],
+        counts[tile_order],
+    )
+
+
+def _triangle_scan(stack: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """First subset hit per pattern of a key-sorted ``(c, U, W)`` stack.
+
+    Patterns are sorted by descending key and only later patterns are
+    legal candidates, so the legal region is the strict upper triangle;
+    candidate columns are scanned in ascending blocks with first-hit
+    resolution. Slots at or past a tile's ``counts`` are zero padding:
+    a row whose first hit lands there has no prefix (every later slot is
+    padding too). Returns the winning slot, or ``-1``.
+    """
+    c, U, W = stack.shape
+    winner = np.full((c, U), -1, dtype=np.int64)
+    resolved = np.zeros((c, U), dtype=bool)
+    if W == 1:
+        flat = stack[:, :, 0]
+        inverted = ~flat
+    else:
+        inverted = ~stack
+    for jb in range(0, U, _COL_BLOCK):
+        je = min(jb + _COL_BLOCK, U)
+        # Columns [jb, je) are candidates only for rows [0, je).
         if W == 1:
-            sflat = np.take_along_axis(codes[:, :, 0], order, axis=1)
-            snot = ~sflat
+            cand = (flat[:, None, jb:je] & inverted[:, :je, None]) == 0
         else:
-            scodes = np.take_along_axis(codes, order[:, :, None], axis=1)
-            snot = ~scodes
-        resolved = np.zeros((T, m), dtype=bool)
-        for jb in range(0, ncol, _COL_BLOCK):
-            je = min(jb + _COL_BLOCK, ncol)
-            # Columns [jb, je) are candidates only for rows [0, je).
-            if W == 1:
-                cand = (sflat[:, None, jb:je] & snot[:, :je, None]) == 0
-            else:
-                cand = (
-                    (scodes[:, None, jb:je, :] & snot[:, :je, None, :]) == 0
-                ).all(axis=3)
-            # Strict triangle on the diagonal sub-block: a column is
-            # legal for a row only when its key is strictly smaller,
-            # i.e. it sits strictly later in sorted order.
-            cand[:, jb:je, :] &= np.triu(np.ones((je - jb, je - jb), bool), 1)
-            hit = cand.argmax(axis=2)
-            hashit = np.take_along_axis(cand, hit[:, :, None], axis=2)[:, :, 0]
-            newly = hashit & ~resolved[:, :je]
-            if newly.any():
-                q = hit + jb
-                live = np.take_along_axis(spops, q, axis=1) > 0
-                good = newly & live
-                src = np.take_along_axis(order, q, axis=1)
-                prefix_sorted[:, :je][good] = src[good]
-                resolved[:, :je] |= newly
-    np.put_along_axis(prefix, order, prefix_sorted, axis=1)
-    return prefix
+            cand = (
+                (stack[:, None, jb:je, :] & inverted[:, :je, None, :]) == 0
+            ).all(axis=3)
+        cand[:, jb:je, :] &= np.triu(np.ones((je - jb, je - jb), bool), 1)
+        hit = cand.argmax(axis=2)
+        hashit = np.take_along_axis(cand, hit[:, :, None], axis=2)[:, :, 0]
+        newly = hashit & ~resolved[:, :je]
+        if newly.any():
+            q = hit + jb
+            good = newly & (q < counts[:, None])
+            winner[:, :je][good] = q[good]
+            resolved[:, :je] |= newly
+    return winner
 
 
 def max_chain_depth_batch(prefix: np.ndarray) -> np.ndarray:
@@ -212,18 +316,12 @@ def records_from_codes_batch(
     """Tile records for a ``(T, m, W)`` stack, one batched pass per field.
 
     Row-for-row identical to :func:`repro.core.prosparsity.forest_record`
-    applied per tile (field order must mirror it). Prefix selection is
-    chunked along T to bound the ``(chunk, m, m)`` candidate blocks at
-    ``_CHUNK_ELEMENT_BUDGET`` elements.
+    applied per tile (field order must mirror it). Prefix selection
+    bounds its own candidate blocks at ``_CHUNK_ELEMENT_BUDGET``.
     """
     T, m, W = codes.shape
     start = time.perf_counter()
-    prefix = np.empty((T, m), dtype=np.int64)
-    chunk = max(1, _CHUNK_ELEMENT_BUDGET // max(1, m * m))
-    for s in range(0, T, chunk):
-        prefix[s : s + chunk] = select_prefixes_batch(
-            codes[s : s + chunk], popcounts[s : s + chunk]
-        )
+    prefix = select_prefixes_batch(codes, popcounts)
     mid = time.perf_counter()
     reused = prefix != NO_PREFIX
     prefix_pop = np.take_along_axis(popcounts, np.where(reused, prefix, 0), axis=1)
@@ -245,64 +343,73 @@ def records_from_codes_batch(
     return records
 
 
-def build_tile_parts(
-    matrix: SpikeMatrix, tile_m: int, tile_k: int
-) -> dict[tuple[int, int], list[tuple]]:
-    """Pack a matrix once into per-shape chunk lists (no concatenation).
+def _tile_stack(blocks: np.ndarray, row0: int, m: int, nrb: int, ncb: int):
+    """``(rows * ncb, ...)`` block rows -> ``(nrb * ncb, m, ...)`` tiles.
 
-    Each column block is packed and padded a single time; tile stacks
-    are reshaped row slices of the block arrays (full-size row blocks)
-    plus the ragged tail. Returns ``{(m, k): [(nbytes, codes, pops,
-    raw, positions), ...]}`` with positions in the row-major order of
-    :meth:`SpikeMatrix.tile`. Callers that assemble their own stacks
-    (the trace planner's arena buckets) consume the chunks directly.
+    Row ``r`` of column block ``c`` sits at ``r * ncb + c``; the result
+    holds ``nrb`` row blocks of ``m`` rows from ``row0``, row-major.
+    """
+    lo = row0 * ncb
+    stacked = blocks[lo : lo + nrb * m * ncb].reshape(nrb, m, ncb, -1)
+    return stacked.swapaxes(1, 2).reshape(nrb * ncb, m, -1)
+
+
+def build_tile_parts(
+    matrix: SpikeMatrix,
+    tile_m: int,
+    tile_k: int,
+    packed: np.ndarray | None = None,
+) -> dict[tuple[int, int], list[tuple]]:
+    """Pack a matrix into per-shape tile stacks with whole-array reshapes.
+
+    A matrix has at most four tile shapes: full or ragged rows times
+    full or ragged columns. Each column shape is packed once for all
+    its blocks, then reshaped into ``(row blocks * col blocks, m, ...)``
+    codes, popcounts and raw bytes. Returns ``{(m, k): [(nbytes, codes,
+    pops, raw, positions), ...]}`` with positions in the row-major order
+    of :meth:`SpikeMatrix.tile`. ``packed`` is the matrix's whole-row
+    ``np.packbits`` when the caller already has it; byte-aligned column
+    blocks are byte slices of it.
     """
     bits = matrix.bits
     rows, cols = bits.shape
     n_full, tail = divmod(rows, tile_m)
-    col_starts = list(range(0, cols, tile_k))
-    n_cb = len(col_starts)
-
-    # Byte-aligned fast path: when tile_k is a byte multiple, every
-    # column block (ragged tail included) is a byte slice of one
-    # whole-matrix packbits — no per-block bool copy or re-pack.
-    whole_packed = np.packbits(bits, axis=1) if tile_k % 8 == 0 else None
-
-    # One (m, k) shape can span many column blocks; collect parts first.
+    full_cb, k_tail = divmod(cols, tile_k)
+    n_cb = full_cb + (k_tail > 0)
+    if tile_k % 8 == 0 and packed is None:
+        packed = np.packbits(bits, axis=1)
     parts: dict[tuple[int, int], list[tuple]] = {}
-    for cb, col_start in enumerate(col_starts):
-        k_block = min(tile_k, cols - col_start)
-        if whole_packed is not None:
-            byte_start = col_start // 8
-            packed = np.ascontiguousarray(
-                whole_packed[:, byte_start : byte_start + -(-k_block // 8)]
-            )
+    for k, cb0, ncb in ((tile_k, 0, full_cb), (k_tail, full_cb, 1)):
+        if not (k and ncb):
+            continue
+        nbytes = -(-k // 8)
+        if tile_k % 8 == 0:
+            start = cb0 * tile_k // 8
+            blocks = packed[:, start : start + ncb * nbytes]
         else:
-            block = np.ascontiguousarray(bits[:, col_start : col_start + tile_k])
-            packed = np.packbits(block, axis=1)
-        codes = padded_codes(packed)
-        pops = popcount_rows(packed)
-        nbytes = packed.shape[1]
-        if n_full:
-            split = n_full * tile_m
-            parts.setdefault((tile_m, k_block), []).append(
-                (
-                    nbytes,
-                    codes[:split].reshape(n_full, tile_m, -1),
-                    pops[:split].reshape(n_full, tile_m),
-                    packed[:split].reshape(n_full, tile_m * nbytes),
-                    np.arange(n_full) * n_cb + cb,
-                )
+            # Each block padded to whole bytes, then one whole-row pack.
+            padded = np.zeros((rows, ncb, nbytes * 8), dtype=bool)
+            padded[:, :, :k] = bits[:, cb0 * tile_k : cb0 * tile_k + ncb * k].reshape(
+                rows, ncb, k
             )
-        if tail:
-            split = n_full * tile_m
-            parts.setdefault((tail, k_block), []).append(
+            blocks = np.packbits(padded.reshape(rows, -1), axis=1)
+        blocks = blocks.reshape(rows * ncb, nbytes)
+        codes = padded_codes(blocks)
+        pops = popcount_rows(blocks)
+        for m, rb0, nrb in ((tile_m, 0, n_full), (tail, n_full, 1)):
+            if not (m and nrb):
+                continue
+            row0 = rb0 * tile_m
+            positions = (
+                (rb0 + np.arange(nrb))[:, None] * n_cb + cb0 + np.arange(ncb)
+            ).ravel()
+            parts.setdefault((m, k), []).append(
                 (
                     nbytes,
-                    codes[split:].reshape(1, tail, -1),
-                    pops[split:].reshape(1, tail),
-                    packed[split:].reshape(1, tail * nbytes),
-                    np.array([n_full * n_cb + cb]),
+                    _tile_stack(codes, row0, m, nrb, ncb),
+                    _tile_stack(pops[:, None], row0, m, nrb, ncb)[:, :, 0],
+                    _tile_stack(blocks, row0, m, nrb, ncb).reshape(nrb * ncb, -1),
+                    positions,
                 )
             )
     return parts

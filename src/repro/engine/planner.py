@@ -266,10 +266,11 @@ class TracePlanner:
             start = time.perf_counter()
             if isinstance(source, SpikeMatrix):
                 total = source.num_tiles(tile_m, tile_k)
-                digest = self._matrix_digest(source)
+                packed = np.packbits(source.bits, axis=1)
+                digest = self._matrix_digest(source.bits.shape, packed)
                 matrix_parts = packed_matrices.get(digest)
                 if matrix_parts is None:
-                    matrix_parts = build_tile_parts(source, tile_m, tile_k)
+                    matrix_parts = build_tile_parts(source, tile_m, tile_k, packed)
                     packed_matrices[digest] = matrix_parts
                 for (m, k), chunks in matrix_parts.items():
                     shape_parts = parts.setdefault((m, k), [])
@@ -326,15 +327,13 @@ class TracePlanner:
         return plan
 
     @staticmethod
-    def _matrix_digest(matrix: SpikeMatrix) -> tuple:
-        """Whole-matrix content key for the pack-once fast path."""
-        bits = matrix.bits
-        if not bits.flags["C_CONTIGUOUS"]:
-            bits = np.ascontiguousarray(bits)
-        return (
-            bits.shape,
-            hashlib.blake2b(bits, digest_size=16).digest(),
-        )
+    def _matrix_digest(shape: tuple[int, int], packed: np.ndarray) -> tuple:
+        """Whole-matrix content key for the pack-once fast path.
+
+        Hashes the whole-row packed bytes (an eighth of the ``bool``
+        array); with the shape they determine the bits exactly.
+        """
+        return (shape, hashlib.blake2b(packed, digest_size=16).digest())
 
     @staticmethod
     def _pack_tiles(

@@ -16,12 +16,12 @@ whole trace. The identity argument has three legs:
    neighbours (pinned by the planner equivalence suite), so planning a
    window's tiles in a small plan yields the same records as planning
    the whole trace at once.
-3. Per window, each workload's completed tiles are planned in global
-   row-major order (the assembler emits bands in row order and splits
-   ``k``-inner), so concatenating a workload's records across chunks
-   reproduces the batch record array exactly.
+3. Per window, each workload's completed bands are planned as one
+   matrix, whose tiles are in global row-major order (bands in row
+   order, ``k``-inner), so concatenating a workload's records across
+   chunks reproduces the batch record array exactly.
 
-A producer thread steps the source and feeds assembled tiles through a
+A producer thread steps the source and feeds assembled bands through a
 bounded queue — ``max_inflight_windows`` is real backpressure, the
 producer blocks once the consumer falls behind. Window execution runs
 on the consuming thread through the engine's shared planner (under
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.prosparsity import TILE_RECORD_FIELDS
-from repro.core.spike_matrix import SpikeTile, TileCoord
+from repro.core.spike_matrix import SpikeMatrix
 from repro.engine.faults import stream_fault
 from repro.engine.pipeline import (
     EngineReport,
@@ -127,20 +127,18 @@ class _TileAssembler:
     """Accumulates one workload's incoming rows; cuts global tile bands.
 
     Rows arrive in matrix order (the source contract). Whenever
-    ``tile_m`` buffered rows exist, a full band is cut and split
-    ``k``-inner into :class:`SpikeTile` objects whose content matches
-    ``SpikeMatrix.tile`` on the eventual full matrix — the final partial
-    band (rows % tile_m) is only cut by :meth:`flush` at end of stream,
-    exactly like the batch tiler's unpadded edge tiles.
+    ``tile_m`` buffered rows exist, whole bands are cut as one
+    :class:`SpikeMatrix` whose row-major tiles match ``SpikeMatrix.tile``
+    on the eventual full matrix — the final partial band (rows %
+    tile_m) is only cut by :meth:`flush` at end of stream, exactly like
+    the batch tiler's unpadded edge tiles.
     """
 
-    def __init__(self, cols: int, tile_m: int, tile_k: int):
+    def __init__(self, cols: int, tile_m: int):
         self.cols = cols
         self.tile_m = tile_m
-        self.tile_k = tile_k
         self._rows: list[np.ndarray] = []
         self._buffered = 0
-        self._row_start = 0  # global row index of the buffer head
 
     def add(self, rows: np.ndarray) -> None:
         rows = np.ascontiguousarray(rows, dtype=bool)
@@ -152,7 +150,7 @@ class _TileAssembler:
             self._rows.append(rows)
             self._buffered += len(rows)
 
-    def _take(self, count: int) -> np.ndarray:
+    def _take(self, count: int) -> SpikeMatrix:
         parts: list[np.ndarray] = []
         need = count
         while need:
@@ -166,32 +164,17 @@ class _TileAssembler:
                 self._rows[0] = head[need:]
                 need = 0
         self._buffered -= count
-        return parts[0] if len(parts) == 1 else np.vstack(parts)
+        if not parts:
+            return SpikeMatrix(np.zeros((0, self.cols), dtype=bool))
+        return SpikeMatrix(parts[0] if len(parts) == 1 else np.vstack(parts))
 
-    def _band_tiles(self, band: np.ndarray) -> list[SpikeTile]:
-        row_start = self._row_start
-        self._row_start += len(band)
-        return [
-            SpikeTile(
-                band[:, col_start : col_start + self.tile_k],
-                TileCoord(row_start, col_start),
-            )
-            for col_start in range(0, self.cols, self.tile_k)
-        ]
-
-    def cut(self) -> list[SpikeTile]:
+    def cut(self) -> SpikeMatrix:
         """All complete ``tile_m`` bands buffered so far, in row order."""
-        tiles: list[SpikeTile] = []
-        while self._buffered >= self.tile_m:
-            tiles.extend(self._band_tiles(self._take(self.tile_m)))
-        return tiles
+        return self._take(self._buffered - self._buffered % self.tile_m)
 
-    def flush(self) -> list[SpikeTile]:
+    def flush(self) -> SpikeMatrix:
         """Complete bands plus the final partial band (end of stream)."""
-        tiles = self.cut()
-        if self._buffered:
-            tiles.extend(self._band_tiles(self._take(self._buffered)))
-        return tiles
+        return self._take(self._buffered)
 
 
 @dataclass(frozen=True)
@@ -199,7 +182,7 @@ class _Window:
     index: int
     start_step: int
     stop_step: int
-    tiles: list[list[SpikeTile]]  # one entry per source workload
+    bands: list[SpikeMatrix]  # completed bands, one per source workload
     final: bool
 
 
@@ -251,11 +234,11 @@ class StreamRunner:
 
     # -- producer -------------------------------------------------------
     def _produce(self) -> None:
-        """Step the source, assemble tiles, enqueue windows (own thread)."""
+        """Step the source, assemble bands, enqueue windows (own thread)."""
         source = self.source
         site = f"stream.{source.name}"
         assemblers = [
-            _TileAssembler(w.cols, self.engine.tile_m, self.engine.tile_k)
+            _TileAssembler(w.cols, self.engine.tile_m)
             for w in source.workloads
         ]
         names = [w.name for w in source.workloads]
@@ -284,18 +267,18 @@ class StreamRunner:
                         if rows is not None:
                             assembler.add(rows)
                 final = stop >= steps
-                tiles = [
+                bands = [
                     assembler.flush() if final else assembler.cut()
                     for assembler in assemblers
                 ]
-                self._put(_Window(index, lo, stop, tiles, final))
+                self._put(_Window(index, lo, stop, bands, final))
                 lo = stop
                 start += self.hop
                 index += 1
             if index == 0:
                 # Empty source: still close the stream with a final
                 # zero-step window so consumers get exactly one chunk.
-                self._put(_Window(0, 0, 0, [[] for _ in assemblers], True))
+                self._put(_Window(0, 0, 0, [a.flush() for a in assemblers], True))
         except BaseException as exc:  # noqa: BLE001 — relayed to consumer
             self._put(("error", exc))
         else:
@@ -426,7 +409,7 @@ class StreamRunner:
         start = time.perf_counter()
         with engine.planner.exclusive():
             plan = engine.planner.plan(
-                window.tiles, engine.tile_m, engine.tile_k, profile=profile
+                window.bands, engine.tile_m, engine.tile_k, profile=profile
             )
             per_workload = engine.planner.execute(
                 plan, engine.backend, cache=engine.cache, profile=profile

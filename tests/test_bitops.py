@@ -70,6 +70,14 @@ class TestPopcount:
         counts = popcount_rows(pack_rows(bits))
         assert (counts == bits.sum(axis=1)).all()
 
+    @pytest.mark.parametrize("nbytes", [0, 1, 2, 3, 8, 9])
+    def test_stacked_rows_either_side_of_eight_bytes(self, nbytes):
+        rng = np.random.default_rng(nbytes)
+        packed = rng.integers(0, 256, (3, 5, nbytes), dtype=np.uint8)
+        counts = popcount_rows(packed)
+        assert counts.dtype == np.int64 and counts.shape == (3, 5)
+        assert np.array_equal(counts, np.unpackbits(packed, axis=-1).sum(axis=-1))
+
 
 class TestSubsetMatrix:
     def test_identity_diagonal(self):

@@ -13,6 +13,7 @@ import repro
 from repro.api import RunConfig, Session
 from repro.api.config import tomllib
 from repro.cli import build_config, build_parser, main
+from repro.engine import faults
 
 HELP_DIR = pathlib.Path(__file__).parent / "data" / "cli_help"
 
@@ -217,6 +218,24 @@ class TestBatchCommand:
     def test_batch_requires_config(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["batch"])
+
+
+class TestRunErrors:
+    def test_injected_fault_is_a_one_line_error(self, capsys):
+        """A failed ``repro run`` exits nonzero with one stderr line."""
+        argv = ["run", "--model", "lenet5", "--dataset", "mnist",
+                "--set", "resilience.faults=engine_error"]
+        try:
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+        finally:
+            faults.clear()
+        message = excinfo.value.code
+        assert isinstance(message, str)  # printed to stderr, exit status 1
+        assert message.startswith("repro: error: FaultInjected: ")
+        assert "fused.compute_records" in message
+        assert "\n" not in message
+        assert capsys.readouterr().out == ""
 
 
 class TestConfigFileEquivalence:
