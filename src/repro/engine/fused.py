@@ -79,6 +79,14 @@ _CHUNK_ELEMENT_BUDGET = 1 << 22
 #: Candidate columns scanned per block of the triangle scan.
 _COL_BLOCK = 64
 
+#: Largest over smallest pattern count within one chunk (counts below
+#: half a column block count as half a block), which bounds padding.
+_CHUNK_GROWTH = 1.5
+
+#: Strict upper triangle of one diagonal column block: inside it, only
+#: later patterns are candidates.
+_BLOCK_TRIU = np.triu(np.ones((_COL_BLOCK, _COL_BLOCK), dtype=bool), 1)
+
 
 def code_width(nbytes: int) -> int:
     """Byte width of the machine-word code holding ``nbytes`` packed bytes.
@@ -147,8 +155,10 @@ def select_prefixes_batch(codes: np.ndarray, popcounts: np.ndarray) -> np.ndarra
     Tiles are processed in chunks ordered by their pattern count ``u``,
     each padded only to its own largest ``u`` and bounded so that
     ``chunk * U * max(U, _COL_BLOCK)`` stays within
-    ``_CHUNK_ELEMENT_BUDGET``; results are scattered back by position,
-    so the stack order never changes a tile's prefixes.
+    ``_CHUNK_ELEMENT_BUDGET`` and its largest ``u`` is at most
+    ``_CHUNK_GROWTH`` times its smallest, so padding stays a bounded
+    share of the scan; results are scattered back by position, so the
+    stack order never changes a tile's prefixes.
     """
     T, m, W = codes.shape
     prefix = np.full(T * m, NO_PREFIX, dtype=np.int64)
@@ -163,7 +173,11 @@ def select_prefixes_batch(codes: np.ndarray, popcounts: np.ndarray) -> np.ndarra
     while s < T:
         rest = counts[s:]
         cost = np.arange(1, T - s + 1) * rest * np.maximum(rest, _COL_BLOCK)
-        e = s + max(1, int(np.searchsorted(cost, _CHUNK_ELEMENT_BUDGET, "right")))
+        cap = _CHUNK_GROWTH * max(int(rest[0]), _COL_BLOCK // 2)
+        e = s + max(1, min(
+            int(np.searchsorted(cost, _CHUNK_ELEMENT_BUDGET, "right")),
+            int(np.searchsorted(rest, cap, "right")),
+        ))
         u = counts[s:e]
         lo, hi = starts[s], starts[e]
         local = np.repeat(np.arange(e - s), u)
@@ -264,7 +278,7 @@ def _triangle_scan(stack: np.ndarray, counts: np.ndarray) -> np.ndarray:
             cand = (
                 (stack[:, None, jb:je, :] & inverted[:, :je, None, :]) == 0
             ).all(axis=3)
-        cand[:, jb:je, :] &= np.triu(np.ones((je - jb, je - jb), bool), 1)
+        cand[:, jb:je, :] &= _BLOCK_TRIU[: je - jb, : je - jb]
         hit = cand.argmax(axis=2)
         hashit = np.take_along_axis(cand, hit[:, :, None], axis=2)[:, :, 0]
         newly = hashit & ~resolved[:, :je]
@@ -358,7 +372,7 @@ def build_tile_parts(
     matrix: SpikeMatrix,
     tile_m: int,
     tile_k: int,
-    packed: np.ndarray | None = None,
+    packed: np.ndarray,
 ) -> dict[tuple[int, int], list[tuple]]:
     """Pack a matrix into per-shape tile stacks with whole-array reshapes.
 
@@ -368,16 +382,13 @@ def build_tile_parts(
     codes, popcounts and raw bytes. Returns ``{(m, k): [(nbytes, codes,
     pops, raw, positions), ...]}`` with positions in the row-major order
     of :meth:`SpikeMatrix.tile`. ``packed`` is the matrix's whole-row
-    ``np.packbits`` when the caller already has it; byte-aligned column
-    blocks are byte slices of it.
+    ``np.packbits``; byte-aligned column blocks are byte slices of it.
     """
     bits = matrix.bits
     rows, cols = bits.shape
     n_full, tail = divmod(rows, tile_m)
     full_cb, k_tail = divmod(cols, tile_k)
     n_cb = full_cb + (k_tail > 0)
-    if tile_k % 8 == 0 and packed is None:
-        packed = np.packbits(bits, axis=1)
     parts: dict[tuple[int, int], list[tuple]] = {}
     for k, cb0, ncb in ((tile_k, 0, full_cb), (k_tail, full_cb, 1)):
         if not (k and ncb):

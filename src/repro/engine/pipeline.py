@@ -64,13 +64,14 @@ def stats_from_records(
         return stats
     m_col = records[:, _FIELD["m"]]
     stats.elements = int((m_col * records[:, _FIELD["k"]]).sum())
-    stats.bit_nnz = int(records[:, _FIELD["bit_nnz"]].sum())
-    stats.product_nnz = int(records[:, _FIELD["product_nnz"]].sum())
-    stats.rows = int(m_col.sum())
-    stats.em_rows = int(records[:, _FIELD["em_rows"]].sum())
-    stats.reused_rows = int(records[:, _FIELD["reused_rows"]].sum())
-    stats.zero_residual_rows = int(records[:, _FIELD["zero_residual_rows"]].sum())
-    stats.zero_bit_rows = int(records[:, _FIELD["zero_bit_rows"]].sum())
+    totals = records.sum(axis=0).tolist()
+    stats.bit_nnz = totals[_FIELD["bit_nnz"]]
+    stats.product_nnz = totals[_FIELD["product_nnz"]]
+    stats.rows = totals[_FIELD["m"]]
+    stats.em_rows = totals[_FIELD["em_rows"]]
+    stats.reused_rows = totals[_FIELD["reused_rows"]]
+    stats.zero_residual_rows = totals[_FIELD["zero_residual_rows"]]
+    stats.zero_bit_rows = totals[_FIELD["zero_bit_rows"]]
     stats.tiles = len(records)
     return stats
 

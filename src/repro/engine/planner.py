@@ -74,6 +74,7 @@ from repro.utils.bitops import popcount_rows
 __all__ = [
     "PROFILE_STAGES",
     "BufferArena",
+    "PackedMatrix",
     "PlanBucket",
     "TracePlan",
     "TracePlanner",
@@ -134,6 +135,22 @@ class BufferArena:
     def clear(self) -> None:
         """Drop every pooled slab (counters are kept)."""
         self._slabs.clear()
+
+
+class PackedMatrix:
+    """One workload matrix cut into per-shape tile stacks, ready to plan.
+
+    Built by :meth:`TracePlanner.pack`; :meth:`TracePlanner.plan` takes
+    it in place of the matrix and skips packing. ``parts`` is the
+    :func:`~repro.engine.fused.build_tile_parts` result and ``tiles`` the
+    matrix's tile count.
+    """
+
+    __slots__ = ("tiles", "parts")
+
+    def __init__(self, tiles: int, parts: dict[tuple[int, int], list[tuple]]):
+        self.tiles = tiles
+        self.parts = parts
 
 
 class PlanBucket:
@@ -241,7 +258,8 @@ class TracePlanner:
         """Pack every source once and bucket all tiles by shape.
 
         ``sources`` is one entry per workload: a :class:`SpikeMatrix`
-        (every tile, row-major positions) or a list of
+        (every tile, row-major positions), the same matrix already
+        packed as a :class:`PackedMatrix`, or a list of
         :class:`SpikeTile` (sampled subset, sample-order positions).
         Workload matrices with identical content are packed once — a
         trace repeated across timesteps pays one packing pass, not one
@@ -260,19 +278,24 @@ class TracePlanner:
     ) -> TracePlan:
         parts: dict[tuple[int, int], list[tuple]] = {}
         tiles_per_workload: list[int] = []
-        packed_matrices: dict[tuple, dict] = {}
+        packed_matrices: dict[tuple, PackedMatrix] = {}
         pack_seconds = 0.0
         for owner, source in enumerate(sources):
             start = time.perf_counter()
             if isinstance(source, SpikeMatrix):
-                total = source.num_tiles(tile_m, tile_k)
                 packed = np.packbits(source.bits, axis=1)
                 digest = self._matrix_digest(source.bits.shape, packed)
-                matrix_parts = packed_matrices.get(digest)
-                if matrix_parts is None:
-                    matrix_parts = build_tile_parts(source, tile_m, tile_k, packed)
-                    packed_matrices[digest] = matrix_parts
-                for (m, k), chunks in matrix_parts.items():
+                matrix = packed_matrices.get(digest)
+                if matrix is None:
+                    matrix = PackedMatrix(
+                        source.num_tiles(tile_m, tile_k),
+                        build_tile_parts(source, tile_m, tile_k, packed),
+                    )
+                    packed_matrices[digest] = matrix
+                source = matrix
+            if isinstance(source, PackedMatrix):
+                total = source.tiles
+                for (m, k), chunks in source.parts.items():
                     shape_parts = parts.setdefault((m, k), [])
                     for chunk in chunks:
                         shape_parts.append((owner, *chunk))
@@ -325,6 +348,22 @@ class TracePlanner:
                 f"bucketed, {plan.total_tiles} expected"
             )
         return plan
+
+    @staticmethod
+    def pack(matrix: SpikeMatrix, tile_m: int, tile_k: int) -> PackedMatrix:
+        """Pack one matrix for a later :meth:`plan`.
+
+        Touches no planner state, so it may run on any thread while
+        another thread plans and executes: streams pack each window's
+        bands on their producer thread, overlapping the previous
+        window's kernels.
+        """
+        return PackedMatrix(
+            matrix.num_tiles(tile_m, tile_k),
+            build_tile_parts(
+                matrix, tile_m, tile_k, np.packbits(matrix.bits, axis=1)
+            ),
+        )
 
     @staticmethod
     def _matrix_digest(shape: tuple[int, int], packed: np.ndarray) -> tuple:

@@ -260,8 +260,10 @@ class ResultStore:
     # -- paths and layout -----------------------------------------------
     @staticmethod
     def _entry_name(key: tuple) -> str:
+        # Runs once per lookup on the cold-miss path: plain formatting
+        # (integer-like ``m``/``k`` and any bytes-like digest) only.
         m, k, digest = key
-        return f"{bytes(digest).hex()}-{int(m)}x{int(k)}.rec"
+        return f"{digest.hex()}-{m}x{k}.rec"
 
     def _entry_path(self, key: tuple) -> Path:
         name = self._entry_name(key)

@@ -21,9 +21,11 @@ whole trace. The identity argument has three legs:
    order, ``k``-inner), so concatenating a workload's records across
    chunks reproduces the batch record array exactly.
 
-A producer thread steps the source and feeds assembled bands through a
-bounded queue — ``max_inflight_windows`` is real backpressure, the
-producer blocks once the consumer falls behind. Window execution runs
+A producer thread steps the source, assembles bands, packs them
+(:meth:`~repro.engine.planner.TracePlanner.pack`, so packing overlaps
+the previous window's kernels) and feeds them through a bounded queue —
+``max_inflight_windows`` is real backpressure, the producer blocks once
+the consumer falls behind. Window execution runs
 on the consuming thread through the engine's shared planner (under
 ``exclusive()``) with the engine's cache, so cross-window and
 cross-stream dedup ride the same content-digest tiers (memory
@@ -32,7 +34,9 @@ cross-stream dedup ride the same content-digest tiers (memory
 source (see the ``stream_stall`` fault kind) surfaces as
 :class:`StreamStalledError` after ``stall_timeout_s``. The stream's
 report carries the same profile stage keys as a batch run
-(:data:`~repro.engine.planner.PROFILE_STAGES`), summed over windows.
+(:data:`~repro.engine.planner.PROFILE_STAGES`), summed over windows;
+its ``pack`` stage is only the executing thread's share, since the
+producer packs the bands.
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ from repro.engine.pipeline import (
     fold_kernel_profile,
     stats_from_records,
 )
-from repro.engine.planner import PROFILE_STAGES
+from repro.engine.planner import PROFILE_STAGES, PackedMatrix
 from repro.streaming.source import StreamSource
 
 __all__ = [
@@ -182,7 +186,7 @@ class _Window:
     index: int
     start_step: int
     stop_step: int
-    bands: list[SpikeMatrix]  # completed bands, one per source workload
+    bands: list[PackedMatrix]  # completed bands, one per source workload
     final: bool
 
 
@@ -234,12 +238,13 @@ class StreamRunner:
 
     # -- producer -------------------------------------------------------
     def _produce(self) -> None:
-        """Step the source, assemble bands, enqueue windows (own thread)."""
+        """Step the source, pack bands, enqueue windows (own thread)."""
         source = self.source
+        tile_m, tile_k = self.engine.tile_m, self.engine.tile_k
+        pack = self.engine.planner.pack
         site = f"stream.{source.name}"
         assemblers = [
-            _TileAssembler(w.cols, self.engine.tile_m)
-            for w in source.workloads
+            _TileAssembler(w.cols, tile_m) for w in source.workloads
         ]
         names = [w.name for w in source.workloads]
         try:
@@ -268,7 +273,7 @@ class StreamRunner:
                             assembler.add(rows)
                 final = stop >= steps
                 bands = [
-                    assembler.flush() if final else assembler.cut()
+                    pack(assembler.flush() if final else assembler.cut(), tile_m, tile_k)
                     for assembler in assemblers
                 ]
                 self._put(_Window(index, lo, stop, bands, final))
@@ -278,7 +283,8 @@ class StreamRunner:
             if index == 0:
                 # Empty source: still close the stream with a final
                 # zero-step window so consumers get exactly one chunk.
-                self._put(_Window(0, 0, 0, [a.flush() for a in assemblers], True))
+                bands = [pack(a.flush(), tile_m, tile_k) for a in assemblers]
+                self._put(_Window(0, 0, 0, bands, True))
         except BaseException as exc:  # noqa: BLE001 — relayed to consumer
             self._put(("error", exc))
         else:

@@ -48,14 +48,12 @@ def unpack_rows(packed: np.ndarray, k: int) -> np.ndarray:
 def popcount_rows(packed: np.ndarray) -> np.ndarray:
     """Number of set bits per packed row (the Detector's NO vector)."""
     packed = np.asarray(packed, dtype=np.uint8)
-    if packed.ndim and 0 < packed.shape[-1] <= 8:
-        # Narrow rows: one table gather per byte column is ~3x faster
-        # than a reduction over a short last axis.
-        counts = _BYTE_POPCOUNT[packed[..., 0]]
-        for column in range(1, packed.shape[-1]):
-            counts += _BYTE_POPCOUNT[packed[..., column]]
-        return counts
-    return _BYTE_POPCOUNT[packed].sum(axis=-1)
+    # One table gather per byte column: rows are a few bytes wide on the
+    # engine's hot path, where a reduction over the last axis is slower.
+    counts = np.zeros(packed.shape[:-1], dtype=np.int64)
+    for column in range(packed.shape[-1]):
+        counts += _BYTE_POPCOUNT[packed[..., column]]
+    return counts
 
 
 def subset_matrix(packed: np.ndarray) -> np.ndarray:

@@ -71,7 +71,7 @@ class TestPopcount:
         assert (counts == bits.sum(axis=1)).all()
 
     @pytest.mark.parametrize("nbytes", [0, 1, 2, 3, 8, 9])
-    def test_stacked_rows_either_side_of_eight_bytes(self, nbytes):
+    def test_stacked_rows_of_any_width(self, nbytes):
         rng = np.random.default_rng(nbytes)
         packed = rng.integers(0, 256, (3, 5, nbytes), dtype=np.uint8)
         counts = popcount_rows(packed)

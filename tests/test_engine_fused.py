@@ -95,7 +95,8 @@ class TestHoistedPadding:
         """Matrix-level padding must equal per-tile padding."""
         matrix = random_spike_matrix(96, 2 * tile_k + 5, 0.3, rng, 0.4)
         by_position = {}
-        for chunks in build_tile_parts(matrix, 32, tile_k).values():
+        packed = np.packbits(matrix.bits, axis=1)
+        for chunks in build_tile_parts(matrix, 32, tile_k, packed).values():
             for _, codes, _, _, positions in chunks:
                 for i, position in enumerate(positions):
                     by_position[int(position)] = codes[i]

@@ -155,6 +155,20 @@ class TestStackOrder:
         for i, bits in enumerate(tiles):
             assert tuple(expected[i]) == forest_record(build_forest(SpikeTile(bits)))
 
+    @pytest.mark.parametrize("growth", [1.0, 1.5, 100.0])
+    def test_growth_cap_cuts(self, rng, monkeypatch, growth):
+        """Cutting chunks by pattern-count growth never changes a record."""
+        tiles = []
+        for i in range(30):
+            patterns = rng.random((2 + 4 * i, 24)) < 0.4
+            tiles.append(_from_patterns(rng, 128, patterns, (i % 3) / 3))
+        codes, pops = _stack(tiles)
+        monkeypatch.setattr(fused, "_CHUNK_GROWTH", growth)
+        perm = rng.permutation(len(tiles))
+        shuffled = records_from_codes_batch(codes[perm], pops[perm], 24)
+        for row, i in zip(shuffled, perm):
+            assert tuple(row) == forest_record(build_forest(SpikeTile(tiles[i])))
+
 
 @st.composite
 def pattern_stacks(draw):

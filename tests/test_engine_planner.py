@@ -389,6 +389,26 @@ class TestPlannerDirect:
         assert len(plan.buckets) == 1  # one (m, k) shape across workloads
         assert plan.buckets[0].tiles == 5
 
+    @pytest.mark.parametrize("tile_k", [TILE_K, 17])
+    def test_prepacked_sources_match_matrices(self, rng, tile_k):
+        """A matrix packed ahead (as stream producers do) plans the same."""
+        matrices = [
+            random_spike_matrix(130, 40, 0.3, rng, 0.5),
+            random_spike_matrix(7, 23, 0.2, rng),
+        ]
+        backend = ReferenceBackend()
+        planner = TracePlanner()
+        expected = planner.execute(planner.plan(matrices, TILE_M, tile_k), backend)
+        packed = [TracePlanner.pack(m, TILE_M, tile_k) for m in matrices]
+        assert [p.tiles for p in packed] == [m.num_tiles(TILE_M, tile_k) for m in matrices]
+        mixed = [packed[0], matrices[1]]
+        actual = planner.execute(planner.plan(mixed, TILE_M, tile_k), backend)
+        for want, got in zip(expected, actual):
+            assert np.array_equal(want, got)
+        assert np.array_equal(
+            actual[0], core.transform_matrix(matrices[0], TILE_M, tile_k).tile_records
+        )
+
 
 class TestCliPlan:
     def test_cli_run_trace_plan(self, capsys):
