@@ -31,8 +31,8 @@ Mechanics:
   the planner's equivalence tests). Batch-scoped numbers (profile,
   cache traffic, ``planned_tiles``/``unique_tiles``) are attached to
   every report of the batch.
-* **Shared resources.** One engine (forest cache, arena, persistent
-  store) per engine signature, reused across every coalesced batch and
+* **Shared resources.** One engine (forest cache, persistent store)
+  per engine signature, reused across every coalesced batch and
   every :class:`~repro.api.Session` the scheduler spawns for non-engine
   jobs.
 * **Cancellation + streaming.** Queued jobs can be cancelled until the
@@ -63,9 +63,8 @@ from repro.api.session import (
     Session,
     StreamRunResult,
 )
-from repro.engine import EngineReport, ProsperityEngine, WorkloadRun
+from repro.engine import ProsperityEngine, WorkloadRun
 from repro.engine import faults
-from repro.engine.pipeline import fold_kernel_profile, stats_from_records
 from repro.engine.planner import PROFILE_STAGES
 from repro.engine.store import open_store
 from repro.workloads import get_trace
@@ -146,7 +145,7 @@ _DONE = object()
 
 def _engine_key(config: RunConfig) -> tuple:
     """Engine-compatibility signature: jobs sharing it share one engine
-    (cache, arena, persistent store) and may coalesce
+    (cache, persistent store) and may coalesce
     into one batch.  The ``[cache]`` section is part of the signature:
     jobs with different store configurations must not silently share a
     store-backed engine."""
@@ -528,7 +527,7 @@ class Scheduler:
         """Share an externally-owned engine for ``config``'s signature.
 
         Jobs whose engine signature matches then run through ``engine``
-        (its cache and arena) instead of a scheduler-constructed
+        (its cache and store) instead of a scheduler-constructed
         one; :meth:`close` leaves it open for its owner. ``Session``
         uses this so ``session.submit()`` reuses the session's engine.
         """
@@ -1059,13 +1058,6 @@ class Scheduler:
         for position, (_, _, workloads) in enumerate(jobs):
             owners.extend((position, local) for local in range(len(workloads)))
         sources = [w.spikes for _, _, workloads in jobs for w in workloads]
-        cache = engine.cache
-        hits0 = cache.hits if cache else 0
-        misses0 = cache.misses if cache else 0
-        store = engine.store
-        store0 = store.counters() if store is not None else {}
-        profile0 = dict(getattr(engine.backend, "profile", None) or {})
-        profile = {stage: 0.0 for stage in PROFILE_STAGES}
         started = time.perf_counter()
         assemblers = [
             _ChunkAssembler(handle, started) if handle.streaming else None
@@ -1077,43 +1069,17 @@ class Scheduler:
             assembler = assemblers[position]
             if assembler is None:
                 return
-            workload = jobs[position][2][local]
             # Copy: the callback payload is a view of the batch-wide
             # records array; a chunk a client retains must not pin
-            # every other client's records in memory.
-            records = records.copy()
-            assembler.add(
-                WorkloadRun(
-                    name=workload.name,
-                    kind=workload.kind,
-                    tiles=len(records),
-                    records=records,
-                    stats=stats_from_records(records),
-                    seconds=0.0,  # per-chunk kernel time is not attributed
-                )
-            )
+            # every other client's records in memory. Per-chunk kernel
+            # time is not attributed.
+            assembler.add(WorkloadRun.of(jobs[position][2][local], records.copy()))
 
         streaming = any(assembler is not None for assembler in assemblers)
-        with engine.planner.exclusive():
-            plan = engine.planner.plan(
-                sources, engine.tile_m, engine.tile_k, profile=profile
-            )
-            per_workload = engine.planner.execute(
-                plan,
-                engine.backend,
-                cache=cache,
-                profile=profile,
-                on_workload=on_workload if streaming else None,
-            )
-        elapsed = time.perf_counter() - started
-        fold_kernel_profile(profile, engine.backend, profile0)
-        cache_hits = (cache.hits - hits0) if cache else 0
-        cache_misses = (cache.misses - misses0) if cache else 0
-        store1 = store.counters() if store is not None else {}
-        store_delta = {
-            name: store1.get(name, 0) - store0.get(name, 0) for name in store1
-        }
-        total = plan.total_tiles
+        profile = dict.fromkeys(PROFILE_STAGES, 0.0)
+        done = engine.execute_pass(
+            sources, profile=profile, on_workload=on_workload if streaming else None
+        )
         # Book the batch before delivering results: a client that
         # wakes on its future must already see the serving counters.
         self.batches += 1
@@ -1122,43 +1088,17 @@ class Scheduler:
 
         offset = 0
         for position, (handle, trace, workloads) in enumerate(jobs):
-            job_records = per_workload[offset : offset + len(workloads)]
+            # Batch-scoped profile, dedup, cache and store counters.
+            report = engine.new_report(trace.model, trace.dataset, profile=dict(profile))
+            report.account(done)
+            for local, workload in enumerate(workloads):
+                run = done.run(offset + local, workload)
+                # Copy out of the batch-wide records array: one client's
+                # retained result must only hold its own records, not
+                # the whole coalesced batch.
+                run.records = run.records.copy()
+                report.runs.append(run)
             offset += len(workloads)
-            report = EngineReport(
-                backend=engine.backend.name,
-                tile_m=engine.tile_m,
-                tile_k=engine.tile_k,
-                model=trace.model,
-                dataset=trace.dataset,
-                planned_tiles=plan.total_tiles,
-                unique_tiles=plan.unique_tiles,
-                cache_hits=cache_hits,
-                cache_misses=cache_misses,
-                # Batch-scoped persistent-store traffic, like cache.
-                store_hits=store_delta.get("store_hits", 0),
-                store_misses=store_delta.get("store_misses", 0),
-                store_corrupt=store_delta.get("store_corrupt", 0),
-                store_evictions=store_delta.get("store_evictions", 0),
-                store_active=store.enabled if store is not None else None,
-                profile=dict(profile),
-            )
-            job_tiles = 0
-            for workload, records in zip(workloads, job_records):
-                job_tiles += len(records)
-                # Copy out of the batch-wide records array: one
-                # client's retained result must only hold its own
-                # records, not the whole coalesced batch.
-                records = records.copy()
-                report.runs.append(
-                    WorkloadRun(
-                        name=workload.name,
-                        kind=workload.kind,
-                        tiles=len(records),
-                        records=records,
-                        stats=stats_from_records(records),
-                        seconds=elapsed * (len(records) / total) if total else 0.0,
-                    )
-                )
             verified = None
             if handle.config.engine.verify:
                 verified = engine.verify_trace(trace)
@@ -1168,7 +1108,7 @@ class Scheduler:
             handle.future.set_result(
                 EngineRunResult(
                     config=handle.config,
-                    seconds=elapsed * (job_tiles / total) if total else 0.0,
+                    seconds=done.share(report.total_tiles),
                     report=report,
                     verified=verified,
                 )

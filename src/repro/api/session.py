@@ -2,8 +2,8 @@
 
 A :class:`Session` binds a :class:`~repro.api.config.RunConfig` to live
 execution resources — one transform backend, one
-:class:`~repro.engine.ProsperityEngine` with its forest cache and
-planner arena — and exposes every experiment the CLI offers as a method:
+:class:`~repro.engine.ProsperityEngine` with its forest cache — and
+exposes every experiment the CLI offers as a method:
 :meth:`run`, :meth:`simulate`, :meth:`sweep`, :meth:`density`,
 :meth:`scaling`, :meth:`tradeoff`. All calls share the same backend and
 engine, so the cache warms once per session no matter how many
@@ -293,7 +293,7 @@ class Session:
 
     @property
     def engine(self) -> ProsperityEngine:
-        """The shared engine: one forest cache, one arena, one backend."""
+        """The shared engine: one forest cache, one backend."""
         with self._lock:
             self._check_open()
             if self._engine is None:
@@ -407,7 +407,7 @@ class Session:
                 mode=self.config.simulator.mode,
                 max_tiles_per_workload=self.config.sampling.effective,
                 rng=self._rng(),
-                engine=self.engine,  # shared: cache, backend, arena
+                engine=self.engine,  # shared: cache, backend
             )
             reports["prosperity"] = simulator.simulate(trace)
             return SimulationResult(
@@ -489,7 +489,7 @@ class Session:
         """The session-owned :class:`~repro.api.scheduler.Scheduler`.
 
         Created on first use and seeded with this session's engine, so
-        scheduled jobs share the session's cache and arena. Closed — after draining — by
+        scheduled jobs share the session's cache. Closed — after draining — by
         :meth:`close`.
         """
         from repro.api.scheduler import Scheduler
@@ -559,9 +559,9 @@ class Session:
         cross-window dedup rides the session engine's cache tiers.
 
         The session lock is held only while building the runner, not for
-        the stream's lifetime: windows execute under the shared
-        planner's ``exclusive()`` lock, so concurrent batch runs
-        serialize per window rather than blocking for the whole stream.
+        the stream's lifetime: each window is one pass under the shared
+        engine's pass lock, so concurrent batch runs serialize per
+        window rather than blocking for the whole stream.
         """
         with self._lock:
             self._check_open()

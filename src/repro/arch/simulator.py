@@ -114,7 +114,7 @@ class ProsperitySimulator:
         self.name = f"prosperity[{mode}]" if mode != MODE_PROSPERITY else "prosperity"
 
     def close(self) -> None:
-        """Release engine resources (the planner arena, an owned backend).
+        """Release engine resources (an owned backend).
 
         Only engines this simulator constructed are closed; a shared
         ``engine=`` passed in stays open for its other users (same

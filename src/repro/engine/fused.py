@@ -35,8 +35,9 @@ machine-word byte width once — non-power-of-two byte widths (3, 5, 6, 7
 bytes) hit this path — then reshaped into tile stacks.
 
 The per-tile entry points (``forest``, ``tile_record``, ``execute``) run
-the same kernels on a one-tile stack. Kernel wall-clock accumulates in
-``FusedBackend.profile`` under ``select`` / ``record`` and surfaces in
+the same kernels on a one-tile stack. Kernel wall-clock books under
+``select`` / ``record`` in the profile the planner passes to
+:meth:`FusedBackend._compute_records`, and surfaces in
 :class:`~repro.engine.pipeline.EngineReport`.
 """
 
@@ -55,7 +56,6 @@ from repro.utils.bitops import popcount_rows
 
 __all__ = [
     "FusedBackend",
-    "KERNEL_STAGES",
     "build_tile_parts",
     "cached_unique_records",
     "chain_depths",
@@ -66,9 +66,6 @@ __all__ = [
     "records_from_codes_batch",
     "select_prefixes_batch",
 ]
-
-#: Profile stages the backend's kernels book themselves.
-KERNEL_STAGES = ("select", "record")
 
 # Smallest unsigned dtype able to hold a packed row of the given byte width.
 _CODE_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
@@ -511,14 +508,10 @@ class FusedBackend(Backend):
 
     The trace planner feeds whole shape buckets to
     :meth:`_compute_records`; the per-tile entry points run the same
-    kernels on a one-tile stack. Kernel wall-clock per stage accumulates
-    in :attr:`profile`.
+    kernels on a one-tile stack.
     """
 
     name = "fused"
-
-    def __init__(self):
-        self.profile: dict[str, float] = {stage: 0.0 for stage in KERNEL_STAGES}
 
     def forest(self, tile: SpikeTile) -> ProSparsityForest:
         popcounts = popcount_rows(tile.packed)
@@ -536,17 +529,20 @@ class FusedBackend(Backend):
     def tile_record(self, tile: SpikeTile) -> tuple[int, ...]:
         codes = padded_codes(tile.packed)
         pops = popcount_rows(tile.packed)
-        record = records_from_codes_batch(
-            codes[None], pops[None], tile.k, profile=self.profile
-        )[0]
+        record = records_from_codes_batch(codes[None], pops[None], tile.k)[0]
         return tuple(record.tolist())
 
     def _compute_records(
-        self, codes: np.ndarray, popcounts: np.ndarray, k: int
+        self,
+        codes: np.ndarray,
+        popcounts: np.ndarray,
+        k: int,
+        profile: dict[str, float] | None,
     ) -> np.ndarray:
-        """Kernel dispatch for one deduplicated ``(T, m, W)`` stack."""
+        """Kernel dispatch for one deduplicated ``(T, m, W)`` stack;
+        kernel time books into ``profile`` under ``select``/``record``."""
         faults.kernel_fault("fused.compute_records")
-        return records_from_codes_batch(codes, popcounts, k, profile=self.profile)
+        return records_from_codes_batch(codes, popcounts, k, profile)
 
     def execute(self, forest: ProSparsityForest, weights: np.ndarray) -> np.ndarray:
         """Matmul residuals, then seed prefixes one forest level at a time.

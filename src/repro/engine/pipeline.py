@@ -9,6 +9,10 @@ of a recompute. Every run goes through the
 into cross-workload shape buckets and dedups each bucket's contents
 before one kernel launch per bucket.
 
+Batch runs, coalesced scheduler batches and stream windows all execute
+as one :meth:`ProsperityEngine.execute_pass`: plan, execute, then the
+pass's cache and store counter deltas, all under the engine's pass lock.
+
 :class:`ProsperityEngine` is the high-throughput entry point used by the
 CLI (``repro run``), the architecture simulator, and the throughput
 benchmark; it mirrors the :mod:`repro.core` transform contract exactly,
@@ -17,6 +21,7 @@ and :meth:`ProsperityEngine.verify_trace` checks it against that code.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import threading
 import time
@@ -45,6 +50,7 @@ from repro.engine.planner import PROFILE_STAGES, TracePlanner
 from repro.snn.trace import GeMMWorkload, ModelTrace
 
 __all__ = [
+    "EnginePass",
     "EngineReport",
     "ForestCache",
     "ProsperityEngine",
@@ -53,6 +59,17 @@ __all__ = [
 ]
 
 _FIELD = {name: i for i, name in enumerate(TILE_RECORD_FIELDS)}
+
+#: Report counters a pass measures as deltas: the in-memory cache tier,
+#: then the persistent store tier.
+_PASS_COUNTERS = (
+    "cache_hits",
+    "cache_misses",
+    "store_hits",
+    "store_misses",
+    "store_corrupt",
+    "store_evictions",
+)
 
 
 def stats_from_records(
@@ -206,6 +223,62 @@ class WorkloadRun:
     def tiles_per_sec(self) -> float:
         return self.tiles / self.seconds if self.seconds > 0 else 0.0
 
+    @classmethod
+    def of(
+        cls,
+        workload,
+        records: np.ndarray,
+        seconds: float = 0.0,
+        stats: ProSparsityStats | None = None,
+    ) -> "WorkloadRun":
+        """The run of ``workload`` (anything with ``name`` and ``kind``)
+        that produced ``records`` in ``seconds``; ``stats`` defaults to
+        the records' own."""
+        return cls(
+            name=workload.name,
+            kind=workload.kind,
+            tiles=len(records),
+            records=records,
+            stats=stats_from_records(records) if stats is None else stats,
+            seconds=seconds,
+        )
+
+
+@dataclass
+class EnginePass:
+    """Outcome of one :meth:`ProsperityEngine.execute_pass`.
+
+    ``records`` holds one array per source, in the source's tile order,
+    and ``stats`` their statistics; ``seconds`` is the pass wall-clock;
+    ``counters`` maps each cache/store report field to this pass's
+    delta.
+    """
+
+    records: list[np.ndarray]
+    stats: list[ProSparsityStats]
+    seconds: float
+    planned_tiles: int
+    unique_tiles: int
+    counters: dict[str, int]
+    store_active: bool | None
+
+    def share(self, tiles: int) -> float:
+        """The pass wall-clock booked to ``tiles`` of its planned tiles.
+
+        Every report splits a pass's time by tile count; this is the one
+        place that split is made.
+        """
+        if not self.planned_tiles:
+            return 0.0
+        return self.seconds * (tiles / self.planned_tiles)
+
+    def run(self, index: int, workload) -> WorkloadRun:
+        """Source ``index``'s :class:`WorkloadRun`, named after ``workload``."""
+        records = self.records[index]
+        return WorkloadRun.of(
+            workload, records, self.share(len(records)), self.stats[index]
+        )
+
 
 @dataclass
 class EngineReport:
@@ -213,7 +286,7 @@ class EngineReport:
 
     ``profile`` breaks the run's wall-clock into the pipeline stages of
     :data:`~repro.engine.planner.PROFILE_STAGES` — ``pack`` (bit
-    packing), ``plan`` (bucket merge / arena fill), ``dedup`` (global
+    packing), ``plan`` (bucket merge), ``dedup`` (global
     content dedup + cache traffic), ``select`` (prefix selection
     kernel), ``record`` (residual popcounts, depths, record assembly),
     ``scatter`` (per-workload scatter-back) — with exactly those keys on
@@ -284,6 +357,14 @@ class EngineReport:
             merged.merge(run.stats)
         return merged
 
+    def account(self, engine_pass: EnginePass) -> None:
+        """Add one pass's dedup, cache and store counters to this report."""
+        self.planned_tiles += engine_pass.planned_tiles
+        self.unique_tiles += engine_pass.unique_tiles
+        for name, delta in engine_pass.counters.items():
+            setattr(self, name, getattr(self, name) + delta)
+        self.store_active = engine_pass.store_active
+
 
 class ProsperityEngine:
     """Trace-planned, cache-aware ProSparsity execution engine.
@@ -310,6 +391,9 @@ class ProsperityEngine:
         engines and close it); per-run traffic deltas land in the
         ``store_*`` report fields. A store with ``cache_size == 0``
         still works — a minimal one-entry memory tier fronts it.
+
+    One lock serializes passes (:meth:`exclusive`), so threads may share
+    an engine and each pass's counters stay its own.
     """
 
     def __init__(
@@ -336,18 +420,23 @@ class ProsperityEngine:
         else:
             self.cache = None
         self.planner = TracePlanner()
+        self._lock = threading.RLock()
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
-        """Release engine resources: arena slabs always, and the
-        backend when this engine constructed it from a name — shared
-        instances stay open. Idempotent, and safe against a concurrently
-        executing plan (the arena is only dropped once the planner is
-        quiescent)."""
-        with self.planner.exclusive():
-            self.planner.arena.clear()
-        if self._owns_backend:
-            self.backend.close()
+        """Release the backend when this engine constructed it from a
+        name — shared instances stay open. Idempotent; waits for a pass
+        in flight."""
+        with self._lock:
+            if self._owns_backend:
+                self.backend.close()
+
+    @contextlib.contextmanager
+    def exclusive(self):
+        """Hold the engine's pass lock: no other thread's pass runs until
+        the block exits. Re-entrant, so the holder may run passes."""
+        with self._lock:
+            yield self
 
     def __enter__(self) -> "ProsperityEngine":
         return self
@@ -469,95 +558,107 @@ class ProsperityEngine:
             else:
                 sources.append(matrix)
                 fractions.append(1.0)
-        # exclusive() keeps the plan's arena views valid against
-        # concurrent planner users (the serving scheduler).
-        with self.planner.exclusive():
-            trace_plan = self.planner.plan(sources, tile_m, tile_k)
-            per_workload = self.planner.execute(
-                trace_plan, self.backend, self.cache
-            )
+        done = self.execute_pass(sources, tile_m, tile_k)
         results = []
-        for records, fraction in zip(per_workload, fractions):
+        for records, stats, fraction in zip(done.records, done.stats, fractions):
+            stats.sample_fraction = fraction
             result = ProSparsityResult()
             result.tile_records = records
-            result.stats = stats_from_records(records, sample_fraction=fraction)
+            result.stats = stats
             results.append(result)
         return results
 
     # ------------------------------------------------------------------
-    def run(self, trace: ModelTrace | list[GeMMWorkload]) -> EngineReport:
-        """Transform a whole trace: one cross-workload plan, one kernel
-        launch and one global content dedup per shape bucket."""
-        if isinstance(trace, ModelTrace):
-            workloads = list(trace.workloads)
-            model, dataset = trace.model, trace.dataset
-        else:
-            workloads = list(trace)
-            model = dataset = ""
-        report = EngineReport(
+    def execute_pass(
+        self,
+        sources: list,
+        tile_m: int | None = None,
+        tile_k: int | None = None,
+        profile: dict[str, float] | None = None,
+        on_workload=None,
+    ) -> EnginePass:
+        """One plan→execute→account pass: the seam every run shares.
+
+        ``sources`` and ``on_workload`` are as for
+        :meth:`TracePlanner.plan` and :meth:`TracePlanner.execute`;
+        stage times accumulate into ``profile``. The pass lock is held
+        across the counter snapshot, the plan, the execution, the
+        counter delta and the store kick, so the counters a pass reports
+        count only its own lookups.
+        """
+        tile_m = self.tile_m if tile_m is None else tile_m
+        tile_k = self.tile_k if tile_k is None else tile_k
+        with self._lock:
+            before = self._counters()
+            start = time.perf_counter()
+            trace_plan = self.planner.plan(sources, tile_m, tile_k, profile=profile)
+            records = self.planner.execute(
+                trace_plan,
+                self.backend,
+                cache=self.cache,
+                profile=profile,
+                on_workload=on_workload,
+            )
+            # Per-source stats are report assembly, not a pipeline
+            # stage, but they run before the kick: a writer woken
+            # earlier contends for the GIL with them.
+            stats = [stats_from_records(source_records) for source_records in records]
+            seconds = time.perf_counter() - start
+            after = self._counters()
+            if self.store is not None:
+                # Publish this pass's new entries in the background now
+                # that the kernels are done (puts buffer during the pass
+                # to keep writer IO off the compute path).
+                self.store.kick()
+        return EnginePass(
+            records=records,
+            stats=stats,
+            seconds=seconds,
+            planned_tiles=trace_plan.total_tiles,
+            unique_tiles=trace_plan.unique_tiles,
+            counters={
+                name: after.get(name, 0) - before.get(name, 0)
+                for name in _PASS_COUNTERS
+            },
+            store_active=self.store.enabled if self.store is not None else None,
+        )
+
+    def _counters(self) -> dict[str, int]:
+        """Lifetime cache and store counters, by report field name."""
+        counters = self.store.counters() if self.store is not None else {}
+        if self.cache is not None:
+            counters["cache_hits"] = self.cache.hits
+            counters["cache_misses"] = self.cache.misses
+        return counters
+
+    def new_report(self, model: str = "", dataset: str = "", **fields) -> EngineReport:
+        """An empty :class:`EngineReport` for this engine's backend, tile
+        shape and store state, with a zeroed stage profile."""
+        fields.setdefault("profile", dict.fromkeys(PROFILE_STAGES, 0.0))
+        return EngineReport(
             backend=self.backend.name,
             tile_m=self.tile_m,
             tile_k=self.tile_k,
             model=model,
             dataset=dataset,
+            store_active=self.store.enabled if self.store is not None else None,
+            **fields,
         )
-        hits0 = self.cache.hits if self.cache else 0
-        misses0 = self.cache.misses if self.cache else 0
-        store0 = self.store.counters() if self.store is not None else {}
-        profile0 = dict(getattr(self.backend, "profile", None) or {})
-        profile = {stage: 0.0 for stage in PROFILE_STAGES}
-        start = time.perf_counter()
-        with self.planner.exclusive():
-            trace_plan = self.planner.plan(
-                [workload.spikes for workload in workloads],
-                self.tile_m,
-                self.tile_k,
-                profile=profile,
-            )
-            per_workload = self.planner.execute(
-                trace_plan, self.backend, cache=self.cache, profile=profile
-            )
-        # Per-workload stats are report assembly, not a pipeline stage:
-        # they stay inside the timed window (so stage sums remain
-        # bounded by wall-clock) but out of the profile breakdown.
-        entries = [
-            (workload, records, stats_from_records(records))
-            for workload, records in zip(workloads, per_workload)
-        ]
-        elapsed = time.perf_counter() - start
-        total = trace_plan.total_tiles
-        for workload, records, stats in entries:
-            report.runs.append(
-                WorkloadRun(
-                    name=workload.name,
-                    kind=workload.kind,
-                    tiles=len(records),
-                    records=records,
-                    stats=stats,
-                    seconds=elapsed * (len(records) / total) if total else 0.0,
-                )
-            )
-        report.planned_tiles = trace_plan.total_tiles
-        report.unique_tiles = trace_plan.unique_tiles
-        report.profile = fold_kernel_profile(profile, self.backend, profile0)
-        if self.cache:
-            report.cache_hits = self.cache.hits - hits0
-            report.cache_misses = self.cache.misses - misses0
-        if self.store is not None:
-            # Store counters are process-lifetime totals; the report
-            # carries this run's deltas, same as the cache tier above.
-            store1 = self.store.counters()
-            report.store_hits = store1["store_hits"] - store0["store_hits"]
-            report.store_misses = store1["store_misses"] - store0["store_misses"]
-            report.store_corrupt = store1["store_corrupt"] - store0["store_corrupt"]
-            report.store_evictions = (
-                store1["store_evictions"] - store0["store_evictions"]
-            )
-            report.store_active = self.store.enabled
-            # Publish this run's new entries in the background now that
-            # the kernels are done (puts buffer during the run to keep
-            # writer IO off the compute path).
-            self.store.kick()
+
+    def run(self, trace: ModelTrace | list[GeMMWorkload]) -> EngineReport:
+        """Transform a whole trace: one cross-workload plan, one kernel
+        launch and one global content dedup per shape bucket."""
+        if isinstance(trace, ModelTrace):
+            workloads = list(trace.workloads)
+            report = self.new_report(trace.model, trace.dataset)
+        else:
+            workloads = list(trace)
+            report = self.new_report()
+        done = self.execute_pass(
+            [workload.spikes for workload in workloads], profile=report.profile
+        )
+        report.account(done)
+        report.runs = [done.run(i, workload) for i, workload in enumerate(workloads)]
         return report
 
     # ------------------------------------------------------------------
@@ -593,7 +694,9 @@ class ProsperityEngine:
         )
         output = np.zeros((spike_matrix.rows, weights.shape[1]), dtype=out_dtype)
         col_tiles = -(-spike_matrix.cols // tile_k)
-        with self.planner.exclusive():
+        # The pass lock keeps this GeMM's forest-cache traffic out of a
+        # concurrent pass's counter deltas.
+        with self._lock:
             trace_plan = self.planner.plan([spike_matrix], tile_m, tile_k)
             partials: list[np.ndarray | None] = [None] * trace_plan.total_tiles
             for bucket in trace_plan.buckets:
@@ -655,16 +758,3 @@ class ProsperityEngine:
                 return False
         return True
 
-
-def fold_kernel_profile(
-    profile: dict[str, float], backend: Backend, profile0: dict[str, float]
-) -> dict[str, float]:
-    """Add the backend's kernel-stage time since ``profile0`` to ``profile``.
-
-    The fused backend books ``select``/``record`` into its own lifetime
-    ``profile`` dict; a run's share is the delta from the snapshot taken
-    when the run started.
-    """
-    for stage, seconds in (getattr(backend, "profile", None) or {}).items():
-        profile[stage] += seconds - profile0.get(stage, 0.0)
-    return profile

@@ -21,13 +21,6 @@ goes through it:
   once per *trace*, not once per matrix. The dedup composes with the
   engine's :class:`~repro.engine.pipeline.ForestCache`: one digest per
   unique content.
-* **Buffer-arena reuse.** Bucket stacks (codes, popcounts, raw bytes,
-  scatter indices) live in a :class:`BufferArena` — a shape-keyed,
-  capacity-doubling slab pool owned by the planner and reused across
-  runs, so repeated runs (sweeps, simulators, benchmarks) stop paying
-  per-matrix allocation churn. A plan's bucket arrays are only valid
-  until the next ``plan()`` call on the same planner; the *records* a
-  plan execution returns are always freshly allocated.
 * **Persistent-store layering.** Bucket execution funnels through
   :func:`~repro.engine.fused.cached_unique_records`, which consults the
   cache tiers in order — in-memory
@@ -45,7 +38,7 @@ kernels compute each tile's record independently of its stack
 neighbours, so bucket composition cannot change results.
 
 Per-stage wall-clock accumulates under :data:`PROFILE_STAGES`: ``pack``
-(per-workload bit packing), ``plan`` (bucket merge / arena fill),
+(per-workload bit packing), ``plan`` (bucket merge),
 ``dedup`` (global content dedup + cache traffic), ``select`` / ``record``
 (the backend kernel: prefix selection, then residual popcounts, depths
 and record assembly), and ``scatter`` (writing records back in workload
@@ -54,9 +47,7 @@ order).
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
-import threading
 import time
 
 import numpy as np
@@ -73,7 +64,6 @@ from repro.utils.bitops import popcount_rows
 
 __all__ = [
     "PROFILE_STAGES",
-    "BufferArena",
     "PackedMatrix",
     "PlanBucket",
     "TracePlan",
@@ -90,51 +80,6 @@ _NFIELDS = len(TILE_RECORD_FIELDS)
 def _add_stage(profile: dict[str, float] | None, stage: str, seconds: float) -> None:
     if profile is not None:
         profile[stage] = profile.get(stage, 0.0) + seconds
-
-
-class BufferArena:
-    """Shape-keyed, capacity-doubling slab pool for planner buckets.
-
-    ``take(key, shape, dtype)`` returns a writable view of a pooled
-    slab, growing (by doubling) only when the requested size exceeds the
-    slab's capacity — so planning the same trace repeatedly reuses the
-    same memory instead of re-allocating per run. Views are invalidated
-    by the next ``take`` with the same key; the planner hands them out
-    only for the lifetime of one plan.
-    """
-
-    def __init__(self):
-        self._slabs: dict[tuple, np.ndarray] = {}
-        self.allocations = 0
-        self.reuses = 0
-
-    def __len__(self) -> int:
-        return len(self._slabs)
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes currently pooled across all slabs."""
-        return sum(slab.nbytes for slab in self._slabs.values())
-
-    def take(self, key: tuple, shape: tuple[int, ...], dtype) -> np.ndarray:
-        """A ``shape``-shaped view of the slab pooled under ``key``."""
-        dtype = np.dtype(dtype)
-        needed = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        slab = self._slabs.get(key)
-        if slab is None or slab.dtype != dtype or slab.size < needed:
-            grown = needed
-            if slab is not None and slab.dtype == dtype:
-                grown = max(needed, 2 * slab.size)
-            slab = np.empty(grown, dtype=dtype)
-            self._slabs[key] = slab
-            self.allocations += 1
-        else:
-            self.reuses += 1
-        return slab[:needed].reshape(shape)
-
-    def clear(self) -> None:
-        """Drop every pooled slab (counters are kept)."""
-        self._slabs.clear()
 
 
 class PackedMatrix:
@@ -214,38 +159,15 @@ class TracePlan:
 
 
 class TracePlanner:
-    """Builds and executes trace-scope tile plans over arena buffers.
+    """Builds and executes trace-scope tile plans.
 
-    One planner (and its :class:`BufferArena`) is meant to live as long
-    as its :class:`~repro.engine.pipeline.ProsperityEngine`: repeated
-    plans of same-shaped traces then reuse bucket storage instead of
-    re-allocating. Sources may be whole :class:`SpikeMatrix` workloads
-    or pre-sampled ``list[SpikeTile]`` subsets (the ``max_tiles`` path),
-    freely mixed — sampled tiles land in the same shape buckets as
-    whole-matrix tiles, so sampling composes with the global dedup.
+    Sources may be whole :class:`SpikeMatrix` workloads or pre-sampled
+    ``list[SpikeTile]`` subsets (the ``max_tiles`` path), freely mixed —
+    sampled tiles land in the same shape buckets as whole-matrix tiles,
+    so sampling composes with the global dedup. The planner holds no
+    state between calls: every plan owns its bucket arrays, so
+    concurrent plans never share a buffer.
     """
-
-    def __init__(self, arena: BufferArena | None = None):
-        self.arena = arena if arena is not None else BufferArena()
-        # Re-entrancy: a plan's bucket views live in the shared arena and
-        # are invalidated by the next plan(), so concurrent callers must
-        # serialize whole plan+execute pairs. The lock is re-entrant:
-        # plan()/execute() take it themselves, and callers that need the
-        # pair to be atomic wrap both in exclusive().
-        self._lock = threading.RLock()
-
-    @contextlib.contextmanager
-    def exclusive(self):
-        """Hold the planner exclusively for one plan+execute pair.
-
-        Arena-backed bucket arrays are only valid until the next
-        ``plan()`` call on this planner, so concurrent users (the
-        serving scheduler, parallel sessions sharing one engine) must
-        wrap each ``plan()``/``execute()`` pair in this context —
-        interleaved pairs then serialize instead of corrupting buffers.
-        """
-        with self._lock:
-            yield self
 
     # -- planning -------------------------------------------------------
     def plan(
@@ -266,16 +188,6 @@ class TracePlanner:
         per repeat; the shared chunks land in the buckets once per
         owner, so scatter-back stays exact.
         """
-        with self._lock:
-            return self._plan(sources, tile_m, tile_k, profile)
-
-    def _plan(
-        self,
-        sources: list,
-        tile_m: int,
-        tile_k: int,
-        profile: dict[str, float] | None = None,
-    ) -> TracePlan:
         parts: dict[tuple[int, int], list[tuple]] = {}
         tiles_per_workload: list[int] = []
         packed_matrices: dict[tuple, PackedMatrix] = {}
@@ -308,20 +220,18 @@ class TracePlanner:
 
         start = time.perf_counter()
         buckets = []
-        # Sorted shape order keeps bucket iteration (and arena keys)
-        # deterministic for a given trace shape set.
+        # Sorted shape order keeps bucket iteration deterministic for a
+        # given trace shape set.
         for m, k in sorted(parts):
             chunks = parts[(m, k)]
             nbytes = chunks[0][1]
             total = sum(chunk[2].shape[0] for chunk in chunks)
             width = chunks[0][2].shape[2]
-            codes = self.arena.take(
-                ("codes", m, k), (total, m, width), chunks[0][2].dtype
-            )
-            popcounts = self.arena.take(("pops", m, k), (total, m), np.int64)
-            raw = self.arena.take(("raw", m, k), (total, m * nbytes), np.uint8)
-            owner = self.arena.take(("owner", m, k), (total,), np.int64)
-            position = self.arena.take(("position", m, k), (total,), np.int64)
+            codes = np.empty((total, m, width), dtype=chunks[0][2].dtype)
+            popcounts = np.empty((total, m), dtype=np.int64)
+            raw = np.empty((total, m * nbytes), dtype=np.uint8)
+            owner = np.empty(total, dtype=np.int64)
+            position = np.empty(total, dtype=np.int64)
             offset = 0
             for own, _, chunk_codes, chunk_pops, chunk_raw, chunk_pos in chunks:
                 n = chunk_codes.shape[0]
@@ -407,8 +317,8 @@ class TracePlanner:
         Returns one ``(tiles, len(TILE_RECORD_FIELDS))`` array per
         planned workload, in the workload's own tile order —
         bit-identical to the per-tile core transform. The returned
-        arrays are freshly allocated (never arena-backed), so they stay
-        valid across later plans.
+        arrays are views of one freshly allocated records array, so they
+        stay valid across later plans.
 
         ``on_workload``, when given, is called as ``on_workload(index,
         records)`` the moment a workload's final tile is scattered —
@@ -417,17 +327,6 @@ class TracePlanner:
         builds result chunks on. The callback runs on the executing
         thread; exceptions it raises abort the run.
         """
-        with self._lock:
-            return self._execute(plan, backend, cache, profile, on_workload)
-
-    def _execute(
-        self,
-        plan: TracePlan,
-        backend,
-        cache,
-        profile: dict[str, float] | None,
-        on_workload,
-    ) -> list[np.ndarray]:
         records = np.empty((plan.total_tiles, _NFIELDS), dtype=np.int64)
         per_workload = [
             records[start:end]
@@ -474,9 +373,11 @@ class TracePlanner:
         """
         kernel = getattr(backend, "_compute_records", None)
         if kernel is not None:
-            # The fused backend times select/record itself.
+            # The fused backend books select/record into ``profile``.
             def compute(rows: np.ndarray) -> np.ndarray:
-                return kernel(bucket.codes[rows], bucket.popcounts[rows], bucket.k)
+                return kernel(
+                    bucket.codes[rows], bucket.popcounts[rows], bucket.k, profile
+                )
         else:
             def compute(rows: np.ndarray) -> np.ndarray:
                 start = time.perf_counter()

@@ -25,18 +25,19 @@ A producer thread steps the source, assembles bands, packs them
 (:meth:`~repro.engine.planner.TracePlanner.pack`, so packing overlaps
 the previous window's kernels) and feeds them through a bounded queue —
 ``max_inflight_windows`` is real backpressure, the producer blocks once
-the consumer falls behind. Window execution runs
-on the consuming thread through the engine's shared planner (under
-``exclusive()``) with the engine's cache, so cross-window and
+the consumer falls behind. Each window executes on the consuming
+thread as one engine pass
+(:meth:`~repro.engine.pipeline.ProsperityEngine.execute_pass`) with the
+engine's cache, so cross-window and
 cross-stream dedup ride the same content-digest tiers (memory
 :class:`~repro.engine.pipeline.ForestCache`, then the persistent
 :class:`~repro.engine.store.ResultStore`) as batch runs. A stalled
 source (see the ``stream_stall`` fault kind) surfaces as
 :class:`StreamStalledError` after ``stall_timeout_s``. The stream's
 report carries the same profile stage keys as a batch run
-(:data:`~repro.engine.planner.PROFILE_STAGES`), summed over windows;
-its ``pack`` stage is only the executing thread's share, since the
-producer packs the bands.
+(:data:`~repro.engine.planner.PROFILE_STAGES`) and the same counters,
+each summed over the windows' passes; its ``pack`` stage is only the
+executing thread's share, since the producer packs the bands.
 """
 
 from __future__ import annotations
@@ -51,13 +52,8 @@ import numpy as np
 from repro.core.prosparsity import TILE_RECORD_FIELDS
 from repro.core.spike_matrix import SpikeMatrix
 from repro.engine.faults import stream_fault
-from repro.engine.pipeline import (
-    EngineReport,
-    WorkloadRun,
-    fold_kernel_profile,
-    stats_from_records,
-)
-from repro.engine.planner import PROFILE_STAGES, PackedMatrix
+from repro.engine.pipeline import EngineReport, WorkloadRun
+from repro.engine.planner import PackedMatrix
 from repro.streaming.source import StreamSource
 
 __all__ = [
@@ -308,21 +304,8 @@ class StreamRunner:
         runner.run()`` inside another generator. Closing the generator
         early cancels the producer thread cleanly.
         """
-        engine = self.engine
         source = self.source
-        report = EngineReport(
-            backend=engine.backend.name,
-            tile_m=engine.tile_m,
-            tile_k=engine.tile_k,
-            model=source.name,
-            dataset="stream",
-            plan="stream",
-        )
-        hits0 = engine.cache.hits if engine.cache else 0
-        misses0 = engine.cache.misses if engine.cache else 0
-        store0 = engine.store.counters() if engine.store is not None else {}
-        backend_profile0 = dict(getattr(engine.backend, "profile", None) or {})
-        profile = {stage: 0.0 for stage in PROFILE_STAGES}
+        report = self.engine.new_report(source.name, "stream", plan="stream")
         # One records list per workload, concatenated into the final
         # report — across chunks they reproduce the batch record arrays.
         records: list[list[np.ndarray]] = [[] for _ in source.workloads]
@@ -351,9 +334,7 @@ class StreamRunner:
                     if kind == "error":
                         raise payload
                     break  # ("done", None)
-                chunk = self._execute_window(
-                    item, report, records, seconds, profile
-                )
+                chunk = self._execute_window(item, report, records, seconds)
                 windows += 1
                 stop_step = item.stop_step
                 yield chunk
@@ -375,29 +356,7 @@ class StreamRunner:
                 if chunks_records
                 else np.empty((0, _NFIELDS), dtype=np.int64)
             )
-            report.runs.append(
-                WorkloadRun(
-                    name=workload.name,
-                    kind=workload.kind,
-                    tiles=len(merged),
-                    records=merged,
-                    stats=stats_from_records(merged),
-                    seconds=spent,
-                )
-            )
-        if engine.cache:
-            report.cache_hits = engine.cache.hits - hits0
-            report.cache_misses = engine.cache.misses - misses0
-        if engine.store is not None:
-            store1 = engine.store.counters()
-            report.store_hits = store1["store_hits"] - store0["store_hits"]
-            report.store_misses = store1["store_misses"] - store0["store_misses"]
-            report.store_corrupt = store1["store_corrupt"] - store0["store_corrupt"]
-            report.store_evictions = (
-                store1["store_evictions"] - store0["store_evictions"]
-            )
-            report.store_active = engine.store.enabled
-        report.profile = fold_kernel_profile(profile, engine.backend, backend_profile0)
+            report.runs.append(WorkloadRun.of(workload, merged, spent))
         return StreamResult(report=report, windows=windows, steps=source.steps)
 
     def _execute_window(
@@ -406,57 +365,27 @@ class StreamRunner:
         report: EngineReport,
         records: list[list[np.ndarray]],
         seconds: list[float],
-        profile: dict[str, float],
     ) -> StreamChunk:
-        """Plan + execute one window's completed tiles on this thread."""
-        engine = self.engine
-        hits0 = engine.cache.hits if engine.cache else 0
-        misses0 = engine.cache.misses if engine.cache else 0
-        start = time.perf_counter()
-        with engine.planner.exclusive():
-            plan = engine.planner.plan(
-                window.bands, engine.tile_m, engine.tile_k, profile=profile
-            )
-            per_workload = engine.planner.execute(
-                plan, engine.backend, cache=engine.cache, profile=profile
-            )
-        elapsed = time.perf_counter() - start
-        if engine.store is not None:
-            # Same IO discipline as batch runs: publish new durable
-            # entries off the compute path, once per window.
-            engine.store.kick()
-
-        total = plan.total_tiles
+        """One engine pass over a window's completed tiles, on this thread."""
+        done = self.engine.execute_pass(window.bands, profile=report.profile)
+        report.account(done)
         runs: list[WorkloadRun] = []
-        for owner, (workload, window_records) in enumerate(
-            zip(self.source.workloads, per_workload)
-        ):
-            if not len(window_records):
+        for owner, workload in enumerate(self.source.workloads):
+            run = done.run(owner, workload)
+            if not run.tiles:
                 continue
-            share = elapsed * (len(window_records) / total) if total else 0.0
-            records[owner].append(window_records)
-            seconds[owner] += share
-            runs.append(
-                WorkloadRun(
-                    name=workload.name,
-                    kind=workload.kind,
-                    tiles=len(window_records),
-                    records=window_records,
-                    stats=stats_from_records(window_records),
-                    seconds=share,
-                )
-            )
-        report.planned_tiles += plan.total_tiles
-        report.unique_tiles += plan.unique_tiles
+            records[owner].append(run.records)
+            seconds[owner] += run.seconds
+            runs.append(run)
         return StreamChunk(
             index=window.index,
             start_step=window.start_step,
             stop_step=window.stop_step,
-            seconds=elapsed,
+            seconds=done.seconds,
             runs=runs,
-            planned_tiles=plan.total_tiles,
-            unique_tiles=plan.unique_tiles,
-            cache_hits=(engine.cache.hits - hits0) if engine.cache else 0,
-            cache_misses=(engine.cache.misses - misses0) if engine.cache else 0,
+            planned_tiles=done.planned_tiles,
+            unique_tiles=done.unique_tiles,
+            cache_hits=done.counters["cache_hits"],
+            cache_misses=done.counters["cache_misses"],
             final=window.final,
         )

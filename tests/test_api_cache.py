@@ -11,10 +11,12 @@ footer surface it all on the CLI.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.api import RunConfig, Scheduler, Session
+from repro.api import Job, RunConfig, Scheduler, Session
 from repro.cli import main as cli_main
 from repro.engine import faults
 from repro.engine.store import namespace_tag
@@ -149,6 +151,21 @@ class TestSchedulerWiring:
         assert set(stats) >= {
             "store_hits", "store_misses", "store_corrupt", "store_evictions",
         }
+
+    def test_coalesced_batch_publishes_before_close(self, tmp_path):
+        """A coalesced batch kicks the store like a solo run: its entries
+        land on disk while the scheduler is still open."""
+        config = cache_config(tmp_path)
+        with Scheduler(config) as scheduler:
+            handles = scheduler.submit_many([Job(config=config) for _ in range(2)])
+            for handle in handles:
+                handle.result()
+            assert scheduler.batches == 1
+            (store,) = scheduler._stores.values()
+            deadline = time.monotonic() + 5.0
+            while not store.stats().entries and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert store.stats().entries > 0
 
     def test_cache_section_splits_engine_signature(self, tmp_path):
         """Jobs with different store configs must not share an engine."""

@@ -47,12 +47,12 @@ def test_verify_trace_oracle_is_independent_of_the_planner(monkeypatch):
     trace = get_trace("lenet5", "mnist", "small")
     with ProsperityEngine() as engine:
         assert engine.verify_trace(trace)
-        execute = TracePlanner._execute
+        execute = TracePlanner.execute
 
         def reversed_records(self, *args, **kwargs):
             return [records[::-1] for records in execute(self, *args, **kwargs)]
 
-        monkeypatch.setattr(TracePlanner, "_execute", reversed_records)
+        monkeypatch.setattr(TracePlanner, "execute", reversed_records)
         assert not engine.verify_trace(trace)
 
 

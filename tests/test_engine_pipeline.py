@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -240,6 +243,25 @@ class TestBatchedRun:
         assert report.tiles_per_sec > 0
         assert report.cache_hits + report.cache_misses > 0
         assert report.backend == "fused"
+
+    def test_blocked_run_counts_only_its_own_lookups(self, rng):
+        """A run that waits on the pass lock while another thread runs a
+        trace reports one cache lookup per unique tile of its own."""
+        trace_a = [_workload("a", rng.random((256, 64)) < 0.3)]
+        trace_b = [_workload("b", rng.random((512, 64)) < 0.3)]
+        engine = ProsperityEngine(backend="fused", tile_m=64, tile_k=16)
+        reports = {}
+        waiter = threading.Thread(
+            target=lambda: reports.update(a=engine.run(trace_a))
+        )
+        with engine.exclusive():
+            waiter.start()
+            time.sleep(0.2)  # the waiter reaches the pass lock
+            engine.run(trace_b)
+        waiter.join()
+        report = reports["a"]
+        assert report.unique_tiles == 16
+        assert report.cache_hits + report.cache_misses == report.unique_tiles
 
     def test_identical_timestep_tiles_hit_cache(self, rng):
         """Repeated spike tiles across timesteps compute once, then hit

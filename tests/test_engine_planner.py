@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import prosparsity as core
 from repro.core.spike_matrix import SpikeMatrix, random_spike_matrix
-from repro.engine import BufferArena, ProsperityEngine, TracePlanner
+from repro.engine import ProsperityEngine, TracePlanner
 from repro.engine.backends import ReferenceBackend
 from repro.engine.planner import PROFILE_STAGES
 from repro.snn.trace import GeMMWorkload
@@ -45,50 +45,6 @@ def _core_records(workloads, tile_m=TILE_M, tile_k=TILE_K):
         core.transform_matrix(w.spikes, tile_m, tile_k, keep_transforms=False).tile_records
         for w in workloads
     ]
-
-
-class TestBufferArena:
-    def test_take_shape_and_dtype(self):
-        arena = BufferArena()
-        view = arena.take(("a",), (3, 4), np.int64)
-        assert view.shape == (3, 4) and view.dtype == np.int64
-        assert arena.allocations == 1 and arena.reuses == 0
-
-    def test_reuse_without_allocation(self):
-        arena = BufferArena()
-        first = arena.take(("a",), (8, 2), np.uint8)
-        first[:] = 7
-        again = arena.take(("a",), (8, 2), np.uint8)
-        assert arena.allocations == 1 and arena.reuses == 1
-        assert again.base is first.base
-
-    def test_smaller_request_reuses_slab(self):
-        arena = BufferArena()
-        arena.take(("a",), (100,), np.int64)
-        arena.take(("a",), (10,), np.int64)
-        assert arena.allocations == 1 and arena.reuses == 1
-
-    def test_growth_doubles_capacity(self):
-        arena = BufferArena()
-        arena.take(("a",), (10,), np.int64)
-        arena.take(("a",), (11,), np.int64)
-        assert arena.allocations == 2
-        # Doubled: the next modest growth fits without a fresh slab.
-        arena.take(("a",), (20,), np.int64)
-        assert arena.allocations == 2 and arena.reuses == 1
-
-    def test_dtype_change_reallocates(self):
-        arena = BufferArena()
-        arena.take(("a",), (4,), np.int64)
-        arena.take(("a",), (4,), np.uint8)
-        assert arena.allocations == 2
-
-    def test_clear_drops_slabs(self):
-        arena = BufferArena()
-        arena.take(("a",), (4,), np.int64)
-        assert len(arena) == 1 and arena.nbytes == 32
-        arena.clear()
-        assert len(arena) == 0 and arena.nbytes == 0
 
 
 class TestPlanModeValidation:
@@ -147,7 +103,7 @@ class TestPlannedRecordEquivalence:
             assert np.array_equal(mine.records, theirs), mine.name
 
     def test_warm_run_matches_core(self, rng):
-        """A second run on the same engine (cache and arena warm) still
+        """A second run on the same engine (cache warm) still
         equals the core oracle, and both runs are labelled ``trace``."""
         workloads = self._trace(rng)
         engine = ProsperityEngine(backend="fused", tile_m=TILE_M, tile_k=TILE_K)
@@ -175,13 +131,8 @@ class TestPartialResults:
             assert index not in completed  # exactly once
             completed[index] = records.copy()
 
-        with planner.exclusive():
-            plan = planner.plan(
-                [w.spikes for w in workloads], TILE_M, TILE_K
-            )
-            per_workload = planner.execute(
-                plan, backend, on_workload=on_workload
-            )
+        plan = planner.plan([w.spikes for w in workloads], TILE_M, TILE_K)
+        per_workload = planner.execute(plan, backend, on_workload=on_workload)
         assert sorted(completed) == list(range(len(workloads)))
         for index, records in enumerate(per_workload):
             assert np.array_equal(completed[index], records)
@@ -198,15 +149,15 @@ class TestPartialResults:
         def on_workload(index, records):
             snapshots[index] = records.copy()
 
-        with planner.exclusive():
-            plan = planner.plan([w.spikes for w in workloads], TILE_M, TILE_K)
-            final = planner.execute(plan, backend, on_workload=on_workload)
+        plan = planner.plan([w.spikes for w in workloads], TILE_M, TILE_K)
+        final = planner.execute(plan, backend, on_workload=on_workload)
         for index, records in enumerate(final):
             assert np.array_equal(snapshots[index], records)
 
     def test_exclusive_serializes_concurrent_plans(self, rng):
-        """Two threads sharing one planner interleave plan+execute pairs
-        without corrupting each other's arena-backed buckets."""
+        """Two threads sharing one engine interleave whole passes, one
+        of them under an explicit ``exclusive()`` hold, and each gets
+        its own trace's exact records."""
         import threading
 
         workloads_a = _workloads(rng, [(128, 32, 0.3, 0.5), (64, 16, 0.2, 0.0)])
@@ -216,18 +167,20 @@ class TestPartialResults:
             "a": _matrix_records(workloads_a, backend),
             "b": _matrix_records(workloads_b, backend),
         }
-        planner = TracePlanner()
+        engine = ProsperityEngine(
+            backend=backend, tile_m=TILE_M, tile_k=TILE_K, cache_size=0
+        )
         failures: list[str] = []
 
         def worker(name, workloads):
             for _ in range(5):
-                with planner.exclusive():
-                    plan = planner.plan(
-                        [w.spikes for w in workloads], TILE_M, TILE_K
-                    )
-                    results = planner.execute(plan, backend)
-                for mine, theirs in zip(results, expected[name]):
-                    if not np.array_equal(mine, theirs):
+                if name == "a":
+                    with engine.exclusive():
+                        report = engine.run(workloads)
+                else:
+                    report = engine.run(workloads)
+                for run, theirs in zip(report.runs, expected[name]):
+                    if not np.array_equal(run.records, theirs):
                         failures.append(name)
 
         threads = [
@@ -275,28 +228,15 @@ class TestDedupStats:
 
 
 class TestArenaReuse:
-    def test_second_run_allocates_nothing(self, rng):
-        workloads = _workloads(rng, [(130, 17, 0.3, 0.4), (64, 33, 0.2, 0.0)])
-        engine = ProsperityEngine(backend="fused", tile_m=TILE_M, tile_k=TILE_K)
-        engine.run(workloads)
-        arena = engine.planner.arena
-        allocations = arena.allocations
-        reuses = arena.reuses
-        second = engine.run(workloads)
-        assert arena.allocations == allocations  # no churn on re-plan
-        assert arena.reuses > reuses
-        expected = _matrix_records(workloads, ReferenceBackend())
-        for run, records in zip(second.runs, expected):
-            assert np.array_equal(run.records, records)
-
     def test_returned_records_survive_replanning(self, rng):
-        """Records are freshly allocated, never views of arena slabs."""
+        """Records a run returns stay intact through later runs of the
+        same engine on same-shaped traces."""
         first_trace = _workloads(rng, [(128, 16, 0.3, 0.4)])
         second_trace = _workloads(rng, [(128, 16, 0.6, 0.1)])
         engine = ProsperityEngine(backend="fused", tile_m=TILE_M, tile_k=TILE_K)
         first = engine.run(first_trace)
         kept = first.runs[0].records.copy()
-        engine.run(second_trace)  # overwrites arena slabs
+        engine.run(second_trace)
         assert np.array_equal(first.runs[0].records, kept)
 
 

@@ -14,6 +14,9 @@ socket with per-stream ``/metrics`` accounting.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -27,10 +30,15 @@ from repro.api import (
     StreamRunResult,
     StreamStalledError,
 )
-from repro.engine import available_backends, faults
+from repro.engine import ProsperityEngine, available_backends, faults
 from repro.server import ReproServer
 from repro.server.protocol import records_digest
-from repro.streaming import PoissonEventSource, RecurrentSource, TraceReplaySource
+from repro.streaming import (
+    PoissonEventSource,
+    RecurrentSource,
+    StreamRunner,
+    TraceReplaySource,
+)
 from repro.workloads import get_trace
 
 LENET = {
@@ -255,6 +263,34 @@ class TestSchedulerPaths:
                 session.stream_source(TraceReplaySource(trace))
             )
         assert_stream_matches_batch(chunks, result, reference)
+
+
+class TestPassCounters:
+    def test_window_counters_exclude_a_concurrent_pass(self):
+        """A window that waits on the engine's pass lock while another
+        thread runs a trace counts only its own cache lookups, and so
+        does the stream's report."""
+        engine = ProsperityEngine()
+        runner = StreamRunner(
+            TraceReplaySource(get_trace("lenet5", "mnist", "small", 7)),
+            engine,
+            window=2,
+        )
+        other = get_trace("lenet5", "mnist", "small", 8)
+        drained = {}
+        consumer = threading.Thread(
+            target=lambda: drained.update(out=exhaust(runner.run()))
+        )
+        with engine.exclusive():
+            consumer.start()
+            time.sleep(0.3)  # the first window reaches the pass lock
+            engine.run(other)
+        consumer.join()
+        chunks, result = drained["out"]
+        for chunk in chunks:
+            assert chunk.cache_hits + chunk.cache_misses == chunk.unique_tiles
+        report = result.report
+        assert report.cache_hits + report.cache_misses == report.unique_tiles
 
 
 class TestStallFault:
