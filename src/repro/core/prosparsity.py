@@ -32,7 +32,7 @@ TILE_RECORD_FIELDS = (
     "zero_bit_rows",      # rows with no spikes at all
     "em_rows",            # rows fully skipped via exact-match reuse
     "reused_rows",        # rows with any prefix
-    "forest_depth",       # longest prefix chain (slow-dispatch ablation)
+    "forest_depth",       # longest prefix chain (multi-issue critical path)
 )
 
 

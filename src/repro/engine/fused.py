@@ -8,7 +8,7 @@ batched broadcasts over the stack. Spike rows are packed with
 ``np.packbits`` into fixed-width machine-word *codes*, so the all-pairs
 subset test (the TCAM model) is a broadcast AND/compare over words.
 
-Three kernel-level ideas carry the speed:
+Five kernel-level ideas carry the speed:
 
 * **Pattern-level Pruner.** Most rows of a spike tile are all-zero or
   exact repeats of another row. Each tile's rows are sorted by code, a
@@ -22,12 +22,26 @@ Three kernel-level ideas carry the speed:
   the lower-triangle half of the subset tests entirely. Tiles run in
   chunks ordered by pattern count, each padded only to its own largest
   count, so one pattern-rich tile does not inflate its neighbours.
+* **Depths from patterns.** A pattern's first row hangs off its
+  winner's last row and the rest of its run off each other (EM), so
+  ``forest_depth`` chains over the patterns (about 30% of a paper
+  trace's rows): a pattern's depth is its winner's depth plus the
+  winner's run length, and a tile's depth is its largest pattern depth
+  plus run length minus one.
 * **Content dedup.** Tiles are deduplicated by raw packed bytes
   (``np.unique`` over void views — no Python hashing) before any kernel
   runs; each distinct tile content is computed once and results are
   scattered back. The dedup composes with the engine's
   :class:`~repro.engine.pipeline.ForestCache`: one digest per *unique*
-  tile serves both the lookup and the fill.
+  tile serves both the lookup and the fill, and each bucket makes one
+  ``get_many`` and one ``put_many`` call.
+* **Split across the CPUs.** Tiles are independent, so a unique stack
+  of at least ``_SPLIT_MIN_ROWS`` rows is cut into one interleaved part
+  per CPU the process may run on; the calling thread runs one part and
+  plain threads the others (NumPy's sorts, gathers and broadcasts
+  release the GIL), and records scatter back by position. Smaller
+  stacks stay on one thread: there, thread start-up and GIL hand-offs
+  cost more than the second CPU saves.
 
 Packing is per matrix, not per block: one ``np.packbits`` per column
 shape (one whole-row pack when ``tile_k`` is byte-aligned), padded to the
@@ -43,7 +57,10 @@ the same kernels on a one-tile stack. Kernel wall-clock books under
 
 from __future__ import annotations
 
+import os
+import threading
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,7 +78,6 @@ __all__ = [
     "chain_depths",
     "code_width",
     "dedup_tiles",
-    "max_chain_depth_batch",
     "padded_codes",
     "records_from_codes_batch",
     "select_prefixes_batch",
@@ -69,6 +85,18 @@ __all__ = [
 
 # Smallest unsigned dtype able to hold a packed row of the given byte width.
 _CODE_DTYPES = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+#: CPUs this process may run on; a large unique stack splits into one
+#: part per CPU (:meth:`FusedBackend._compute_records`).
+_CPUS = (
+    len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
+
+#: Rows below which a stack stays on one thread: under it, starting a
+#: thread costs more than the second CPU saves.
+_SPLIT_MIN_ROWS = 1 << 17
 
 #: Element budget for one (chunk, U, U) pattern candidate block (bounds peak memory).
 _CHUNK_ELEMENT_BUDGET = 1 << 22
@@ -157,14 +185,48 @@ def select_prefixes_batch(codes: np.ndarray, popcounts: np.ndarray) -> np.ndarra
     share of the scan; results are scattered back by position, so the
     stack order never changes a tile's prefixes.
     """
-    T, m, W = codes.shape
+    T, m, _ = codes.shape
     prefix = np.full(T * m, NO_PREFIX, dtype=np.int64)
+    patterns, winner = _prune(codes, popcounts, prefix)
+    if patterns is not None:
+        # 5. The first row of each pattern takes its winner's last row.
+        won = np.flatnonzero(winner != NO_PREFIX)
+        prefix[patterns.first[won]] = patterns.last_row[winner[won]]
+    return prefix.reshape(T, m)
+
+
+class _Patterns(NamedTuple):
+    """A stack's distinct nonzero patterns, as :func:`_distinct_patterns`
+    orders them: grouped by tile in ascending pattern count, by
+    descending ``(popcount, last_row)`` key within a tile."""
+
+    first: np.ndarray  # flat stack position of each pattern's first row
+    last_row: np.ndarray  # its largest row index
+    codes: np.ndarray  # its code
+    run: np.ndarray  # its row count (the length of its EM run)
+    pop: np.ndarray  # its popcount (int64)
+    counts: np.ndarray  # patterns per tile, ascending
+    tiles: np.ndarray  # the tile each count belongs to
+
+
+def _prune(
+    codes: np.ndarray, popcounts: np.ndarray, prefix: np.ndarray | None = None
+) -> tuple[_Patterns | None, np.ndarray | None]:
+    """Steps 1-4 of :func:`select_prefixes_batch`: each tile's distinct
+    patterns and the winner of each.
+
+    Returns ``(patterns, winner)``: ``winner[p]`` is the index into
+    ``patterns`` of pattern ``p``'s winning proper subset, or
+    ``NO_PREFIX``. An empty stack has no patterns (``None``). A flat
+    ``prefix`` array, when given, receives the repeated rows' prefixes.
+    """
+    T, m, W = codes.shape
     if T == 0 or m == 0:
-        return prefix.reshape(T, m)
-    first, last_row, pattern_codes, counts = _distinct_patterns(
-        codes, popcounts, prefix
-    )
+        return None, None
+    patterns = _distinct_patterns(codes, popcounts, prefix)
+    counts = patterns.counts
     starts = np.concatenate([[0], np.cumsum(counts)])
+    winner = np.full(len(patterns.first), NO_PREFIX, dtype=np.int64)
     # A tile with fewer than two patterns has no proper-subset prefix.
     s = int(np.searchsorted(counts, 2))
     while s < T:
@@ -180,28 +242,23 @@ def select_prefixes_batch(codes: np.ndarray, popcounts: np.ndarray) -> np.ndarra
         local = np.repeat(np.arange(e - s), u)
         slot = np.arange(lo, hi) - np.repeat(starts[s:e], u)
         stack = np.zeros((e - s, int(u[-1]), W), dtype=codes.dtype)
-        stack[local, slot] = pattern_codes[lo:hi]
-        # 5. The first row of each pattern takes its winner's last row.
-        winner = _triangle_scan(stack, u)[local, slot]
-        won = np.flatnonzero(winner >= 0)
-        prefix[first[lo:hi][won]] = last_row[starts[s:e][local[won]] + winner[won]]
+        stack[local, slot] = patterns.codes[lo:hi]
+        best = _triangle_scan(stack, u)[local, slot]
+        won = np.flatnonzero(best >= 0)
+        winner[lo + won] = starts[s:e][local[won]] + best[won]
         s = e
-    return prefix.reshape(T, m)
+    return patterns, winner
 
 
 def _distinct_patterns(
-    codes: np.ndarray, popcounts: np.ndarray, prefix: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Steps 1-4 of :func:`select_prefixes_batch` for a ``(T, m, W)`` stack.
+    codes: np.ndarray, popcounts: np.ndarray, prefix: np.ndarray | None
+) -> _Patterns:
+    """Each tile's distinct nonzero patterns in a ``(T, m, W)`` stack.
 
-    Writes the prefixes of repeated rows into the flat ``prefix`` and
-    returns each tile's distinct nonzero patterns as ``(first, last_row,
-    codes, counts)``: the flat position of a pattern's first row, its
-    largest row index and its code, grouped by tile in ascending pattern
-    count and by descending ``(popcount, last_row)`` key within a tile,
-    plus the per-tile pattern counts in that tile order. Row-sized
-    temporaries are few and narrow (they scale with the whole stack)
-    and are released on return.
+    Writes the prefixes of repeated rows into the flat ``prefix``, when
+    given (records need only the patterns). Row-sized temporaries are
+    few and narrow (they scale with the whole stack) and are released
+    on return.
     """
     T, m, W = codes.shape
     # 1. Sorted row order per tile, as flat positions into the stack
@@ -218,16 +275,18 @@ def _distinct_patterns(
     repeat[1:] = (scodes[1:] == scodes[:-1]).all(axis=1)
     repeat[::m] = False  # runs never cross tiles
     # 2-3. Repeated nonzero rows reuse their previous occurrence.
-    dup = np.flatnonzero(repeat & live)
-    prefix[flat[dup]] = flat[dup - 1] % m
+    if prefix is not None:
+        dup = np.flatnonzero(repeat & live)
+        prefix[flat[dup]] = flat[dup - 1] % m
     # 4. One entry per distinct nonzero pattern: its first and last row
     # (``live`` is constant along a run, so heads and tails pair up).
     run_end = np.ones(T * m, dtype=bool)
     run_end[:-1] = ~repeat[1:]
     head = np.flatnonzero(live & ~repeat)
-    last_row = flat[np.flatnonzero(live & run_end)] % m
+    tail = np.flatnonzero(live & run_end)
+    last_row = flat[tail] % m
     tile = head // m
-    pops = popcounts.ravel()[flat[head]].astype(np.int64, copy=False)
+    pops = popcounts[tile, flat[head] - tile * m].astype(np.int64, copy=False)
     # Order: tiles by pattern count, then descending key, as one int64
     # sort key whose fields fit easily for any stack held in memory.
     counts = np.bincount(tile, minlength=T)
@@ -240,11 +299,15 @@ def _distinct_patterns(
     by_rank = np.argsort(
         (rank[tile] << (row_bits + pop_max.bit_length())) | descending
     )
-    return (
-        flat[head][by_rank],
-        last_row[by_rank],
-        scodes[head][by_rank],
-        counts[tile_order],
+    head = head[by_rank]
+    return _Patterns(
+        first=flat[head],
+        last_row=last_row[by_rank],
+        codes=scodes[head],
+        run=tail[by_rank] - head + 1,
+        pop=pops[by_rank],
+        counts=counts[tile_order],
+        tiles=tile_order,
     )
 
 
@@ -287,67 +350,51 @@ def _triangle_scan(stack: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return winner
 
 
-def max_chain_depth_batch(prefix: np.ndarray) -> np.ndarray:
-    """Forest depth per tile for a ``(T, m)`` prefix batch.
-
-    Pointer doubling: each round every row's pointer jumps to its
-    ancestor's pointer while chain lengths add, so a batch with maximum
-    chain length ``d`` converges in ``ceil(log2(d)) + 1`` rounds —
-    per-level frontier walks would need ``d`` rounds.
-    """
-    T, m = prefix.shape
-    depths = np.zeros(T, dtype=np.int64)
-    if T == 0 or m == 0:
-        return depths
-    valid = prefix != NO_PREFIX
-    self_index = np.arange(T * m).reshape(T, m)
-    base = np.arange(T, dtype=np.int64)[:, None] * m
-    pointer = np.where(valid, prefix + base, self_index).ravel()
-    length = valid.astype(np.int64).ravel()
-    rounds = 0
-    max_rounds = max(1, int(m).bit_length() + 1)
-    while True:
-        ancestor_length = length[pointer]
-        if not ancestor_length.any():
-            break
-        rounds += 1
-        if rounds > max_rounds:
-            raise RuntimeError("prefix chains do not terminate; cycle present")
-        length += ancestor_length
-        pointer = pointer[pointer]
-    return length.reshape(T, m).max(axis=1, initial=0)
-
-
 def records_from_codes_batch(
     codes: np.ndarray,
     popcounts: np.ndarray,
     k: int,
     profile: dict[str, float] | None = None,
 ) -> np.ndarray:
-    """Tile records for a ``(T, m, W)`` stack, one batched pass per field.
+    """Tile records for a ``(T, m, W)`` stack, from its distinct patterns.
 
-    Row-for-row identical to :func:`repro.core.prosparsity.forest_record`
-    applied per tile (field order must mirror it). Prefix selection
-    bounds its own candidate blocks at ``_CHUNK_ELEMENT_BUDGET``.
+    Identical to :func:`repro.core.prosparsity.forest_record` applied per
+    tile (field order must mirror it), but every field is summed over the
+    patterns :func:`_prune` found, about 30% as many entries as rows on a
+    paper trace. Zero rows are roots with nothing to accumulate. The
+    rest of a pattern's run are EM rows: reused, with no residual. Its
+    first row keeps what its winner lacks, and hangs off the winner's
+    last row, so a pattern with no winner has depth 0, any other its
+    winner's depth plus the winner's run length; a row's depth is its
+    pattern's plus its position in the run, and the tile's depth is the
+    largest pattern depth + run length - 1 (one :func:`chain_depths` walk
+    over the patterns).
     """
     T, m, W = codes.shape
     start = time.perf_counter()
-    prefix = select_prefixes_batch(codes, popcounts)
+    patterns, winner = _prune(codes, popcounts)
     mid = time.perf_counter()
-    reused = prefix != NO_PREFIX
-    prefix_pop = np.take_along_axis(popcounts, np.where(reused, prefix, 0), axis=1)
-    residual = popcounts - np.where(reused, prefix_pop, 0)
-    depths = max_chain_depth_batch(prefix)
-    records = np.empty((T, len(TILE_RECORD_FIELDS)), dtype=np.int64)
+    records = np.zeros((T, len(TILE_RECORD_FIELDS)), dtype=np.int64)
     records[:, 0] = m
     records[:, 1] = k
-    records[:, 2] = popcounts.sum(axis=1)
-    records[:, 3] = residual.sum(axis=1)
-    records[:, 4] = (residual == 0).sum(axis=1)
-    records[:, 5] = (popcounts == 0).sum(axis=1)
-    records[:, 6] = (reused & (residual == 0) & (popcounts > 0)).sum(axis=1)
-    records[:, 7] = reused.sum(axis=1)
-    records[:, 8] = depths
+    records[:, 4] = m  # zero_residual_rows: all but each pattern's first row
+    records[:, 5] = m  # zero_bit_rows: all but each pattern's run
+    if patterns is not None and len(winner):
+        counts = patterns.counts
+        s = int(np.searchsorted(counts, 1))  # tiles with a pattern
+        tiles = patterns.tiles[s:]
+        starts = (np.cumsum(counts) - counts)[s:]
+        run, pop = patterns.run, patterns.pop
+        won = winner != NO_PREFIX
+        residual = pop - np.where(won, pop[winner], 0)
+        depth = chain_depths(winner, run[winner]) + run - 1
+        records[tiles, 2] = np.add.reduceat(pop * run, starts)
+        records[tiles, 3] = np.add.reduceat(residual, starts)
+        records[tiles, 4] -= counts[s:]
+        records[tiles, 5] -= np.add.reduceat(run, starts)
+        records[tiles, 6] = np.add.reduceat(run - 1, starts)
+        records[tiles, 7] = records[tiles, 6] + np.add.reduceat(won, starts, dtype=np.int64)
+        records[tiles, 8] = np.maximum.reduceat(depth, starts)
     if profile is not None:
         profile["select"] = profile.get("select", 0.0) + (mid - start)
         profile["record"] = profile.get("record", 0.0) + (time.perf_counter() - mid)
@@ -435,36 +482,33 @@ def cached_unique_records(
 ) -> np.ndarray:
     """Records for a deduplicated stack: cache per unique, expand back.
 
-    The trace planner's cache-interaction protocol: look up each unique content (``first``
-    indexes into ``raw``) by a key hashed once, call ``compute(rows)``
-    for the misses only, fill the cache, and expand through ``inverse``
-    to the full stack. ``add_seconds`` receives the cache/dedup traffic
-    time so each caller can book it under its own profile stage.
+    The trace planner's cache-interaction protocol: hash each unique
+    content (``first`` indexes into ``raw``) once, look the whole bucket
+    up in one :meth:`~repro.engine.pipeline.ForestCache.get_many` call,
+    call ``compute(rows)`` for the misses only, fill the cache with one
+    ``put_many`` and expand through ``inverse`` to the full stack.
+    ``add_seconds`` receives the cache/dedup traffic time so each caller
+    can book it under its own profile stage.
     """
     start = time.perf_counter()
-    n_unique = len(first)
-    unique_records = np.empty((n_unique, len(TILE_RECORD_FIELDS)), dtype=np.int64)
+    unique_records = np.empty((len(first), len(TILE_RECORD_FIELDS)), dtype=np.int64)
+    missing = np.arange(len(first))
     if cache is not None:
-        keys = [cache.key(m, k, raw[i]) for i in first]
-        missing_list = []
-        for i, key in enumerate(keys):
-            record = cache.get_record_by_key(key)
-            if record is None:
-                missing_list.append(i)
-            else:
-                unique_records[i] = record
-        missing = np.array(missing_list, dtype=np.int64)
-    else:
-        keys = None
-        missing = np.arange(n_unique)
+        keys = cache.keys(m, k, raw[first])
+        found = cache.get_many(keys)
+        hit = [i for i, record in enumerate(found) if record is not None]
+        if hit:
+            unique_records[hit] = [found[i] for i in hit]
+            missing = np.array(
+                [i for i, record in enumerate(found) if record is None], dtype=np.int64
+            )
     add_seconds(time.perf_counter() - start)
     if missing.size:
         computed = compute(first[missing])
         unique_records[missing] = computed
         if cache is not None:
             start = time.perf_counter()
-            for i, row in zip(missing.tolist(), computed.tolist()):
-                cache.put_record_by_key(keys[i], tuple(row))
+            cache.put_many([keys[i] for i in missing.tolist()], computed.tolist())
             add_seconds(time.perf_counter() - start)
     return unique_records[inverse]
 
@@ -485,21 +529,30 @@ def dedup_tiles(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, inverse
 
 
-def chain_depths(prefix: np.ndarray) -> np.ndarray:
-    """Length of each row's prefix chain (0 for roots), fully vectorized."""
-    m = len(prefix)
-    depth = np.zeros(m, dtype=np.int64)
-    current = np.asarray(prefix, dtype=np.int64).copy()
-    while True:
-        live = current != NO_PREFIX
-        if not live.any():
-            return depth
-        depth[live] += 1
-        if depth.max() > m:
-            raise RuntimeError("prefix chains do not terminate; cycle present")
-        nxt = np.full(m, NO_PREFIX, dtype=np.int64)
-        nxt[live] = prefix[current[live]]
-        current = nxt
+def chain_depths(parent: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
+    """Summed edge weight from each entry to the root of its chain.
+
+    ``parent[i]`` is entry ``i``'s parent or ``NO_PREFIX`` for a root;
+    ``weight[i]`` is the positive weight of that edge (default 1, so the
+    result is each entry's chain length). Pointer doubling: each round
+    every pointer jumps to its ancestor's pointer while the sums add, so
+    chains of length ``d`` converge in ``ceil(log2(d)) + 1`` rounds.
+    """
+    parent = np.asarray(parent, dtype=np.int64)
+    n = len(parent)
+    valid = parent != NO_PREFIX
+    pointer = np.where(valid, parent, np.arange(n))
+    if weight is None:
+        length = valid.astype(np.int64)
+    else:
+        length = np.where(valid, weight, 0).astype(np.int64, copy=False)
+    for _ in range(n.bit_length() + 1):
+        ancestor_length = length[pointer]
+        if not ancestor_length.any():
+            return length
+        length += ancestor_length
+        pointer = pointer[pointer]
+    raise RuntimeError("prefix chains do not terminate; cycle present")
 
 
 @register_backend
@@ -539,10 +592,53 @@ class FusedBackend(Backend):
         k: int,
         profile: dict[str, float] | None,
     ) -> np.ndarray:
-        """Kernel dispatch for one deduplicated ``(T, m, W)`` stack;
-        kernel time books into ``profile`` under ``select``/``record``."""
+        """Kernel dispatch for one deduplicated ``(T, m, W)`` stack.
+
+        A stack of at least ``_SPLIT_MIN_ROWS`` rows is cut into one
+        interleaved part per CPU (``_CPUS``): the calling thread runs the
+        first part, plain threads the others, and records scatter back by
+        position. Tiles are independent, so the split never changes a
+        record. The kernel's wall-clock books into ``profile`` under
+        ``select``/``record`` in the proportion the parts spent in each,
+        so concurrent parts are never counted twice.
+        """
         faults.kernel_fault("fused.compute_records")
-        return records_from_codes_batch(codes, popcounts, k, profile)
+        T, m, _ = codes.shape
+        parts = max(1, min(_CPUS, T)) if T * m >= _SPLIT_MIN_ROWS else 1
+        records = np.empty((T, len(TILE_RECORD_FIELDS)), dtype=np.int64)
+        spent: list[dict[str, float]] = [{} for _ in range(parts)]
+        errors: list[BaseException] = []
+
+        def run(part: int) -> None:
+            try:
+                records[part::parts] = records_from_codes_batch(
+                    np.ascontiguousarray(codes[part::parts]),
+                    popcounts[part::parts],  # read at pattern heads only
+                    k,
+                    spent[part],
+                )
+            except BaseException as exc:  # noqa: BLE001 — re-raised below
+                errors.append(exc)
+
+        start = time.perf_counter()
+        helpers = [
+            threading.Thread(target=run, args=(part,), name=f"repro-kernel-{part}")
+            for part in range(1, parts)
+        ]
+        for helper in helpers:
+            helper.start()
+        run(0)
+        for helper in helpers:
+            helper.join()
+        if errors:
+            raise errors[0]
+        if profile is not None:
+            wall = time.perf_counter() - start
+            total = sum(sum(times.values()) for times in spent) or 1.0
+            for stage in ("select", "record"):
+                share = sum(times.get(stage, 0.0) for times in spent) / total
+                profile[stage] = profile.get(stage, 0.0) + wall * share
+        return records
 
     def execute(self, forest: ProSparsityForest, weights: np.ndarray) -> np.ndarray:
         """Matmul residuals, then seed prefixes one forest level at a time.

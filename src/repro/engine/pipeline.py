@@ -139,27 +139,43 @@ class ForestCache:
         ).digest()
         return (m, k, digest)
 
+    @staticmethod
+    def keys(m: int, k: int, rows: np.ndarray) -> list[tuple]:
+        """:meth:`key` of each row of an ``(n, bytes)`` packed stack,
+        hashed in one loop."""
+        blake2b = hashlib.blake2b
+        return [
+            (m, k, blake2b(row, digest_size=16).digest())
+            for row in np.ascontiguousarray(rows, dtype=np.uint8)
+        ]
+
     def _lookup(self, key: tuple, slot: str):
         with self._mutex:
-            entry = self._entries.get(key)
-            value = entry.get(slot) if entry is not None else None
-            if value is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return value
+            return self._lookup_locked(key, slot)
+
+    def _lookup_locked(self, key: tuple, slot: str):
+        entry = self._entries.get(key)
+        value = entry.get(slot) if entry is not None else None
+        if value is None:
+            self.misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self.hits += 1
+        return value
 
     def _store(self, key: tuple, slot: str, value) -> None:
         with self._mutex:
-            entry = self._entries.get(key)
-            if entry is None:
-                entry = {}
-                self._entries[key] = entry
-            entry[slot] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            self._store_locked(key, slot, value)
+
+    def _store_locked(self, key: tuple, slot: str, value) -> None:
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = {}
+            self._entries[key] = entry
+        entry[slot] = value
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
 
     # -- records --------------------------------------------------------
     def get_record(self, m: int, k: int, packed: np.ndarray):
@@ -189,6 +205,48 @@ class ForestCache:
         self._store(key, "record", tuple(record))
         if self.store is not None:
             self.store.put(key, record)
+
+    # -- one call per bucket -------------------------------------------
+    def get_many(self, keys: list[tuple]) -> list:
+        """:meth:`get_record_by_key` for each of ``keys``, one mutex hold.
+
+        Hit and miss counters, LRU order and store backfill end as the
+        per-key calls in key order leave them (keys are distinct, as a
+        deduplicated bucket's are). The store is read up front, outside
+        the mutex, for every key memory lacks; a key evicted by an
+        earlier key's backfill before its own lookup reads the store
+        then, as its per-key call would.
+        """
+        store = self.store
+        stored: dict[tuple, tuple | None] = {}
+        if store is not None:
+            with self._mutex:
+                absent = [
+                    key
+                    for key in keys
+                    if self._entries.get(key, {}).get("record") is None
+                ]
+            stored = dict(zip(absent, store.get_many(absent)))
+        records = []
+        with self._mutex:
+            for key in keys:
+                record = self._lookup_locked(key, "record")
+                if record is None and store is not None:
+                    record = stored[key] if key in stored else store.get(key)
+                    if record is not None:
+                        self._store_locked(key, "record", tuple(record))
+                records.append(record)
+        return records
+
+    def put_many(self, keys: list[tuple], records) -> None:
+        """:meth:`put_record_by_key` for each key and record row, one
+        mutex hold and one store call."""
+        records = [tuple(record) for record in records]
+        with self._mutex:
+            for key, record in zip(keys, records):
+                self._store_locked(key, "record", record)
+        if self.store is not None:
+            self.store.put_many(keys, records)
 
     # -- forests --------------------------------------------------------
     def get_forest(self, tile: SpikeTile) -> ProSparsityForest | None:

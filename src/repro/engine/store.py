@@ -346,63 +346,73 @@ class ResultStore:
 
     # -- read path ------------------------------------------------------
     def get(self, key: tuple) -> tuple | None:
-        """Record for ``key``, or ``None`` on miss/corruption/disabled.
+        """Record for ``key``, or ``None`` on miss/corruption/disabled."""
+        return self.get_many([key])[0]
 
+    def get_many(self, keys: list[tuple]) -> list[tuple | None]:
+        """Records for ``keys`` (``None`` on miss/corruption/disabled).
+
+        Entry names are formatted in one loop and the counters move under
+        one mutex hold, exactly as :meth:`get` per key would move them.
         Corrupt entries are quarantined and counted; the caller falls
         back to the kernel path exactly as on a miss.
         """
+        records: list[tuple | None] = [None] * len(keys)
         if not self.enabled:
-            return None
-        name = self._entry_name(key)
-        if name not in self._index:
-            # Cross-process warm sharing: the first miss after open
-            # rescans the directory once — a store populated by another
-            # process after our open turns this miss into a hit.  Later
-            # misses are definite and cost no syscalls (cold-run case).
-            if not self._rescanned:
-                self._rescan_index()
-            if name not in self._index:
-                with self._mutex:
-                    self._misses += 1
-                return None
-        pathstr = f"{self.directory}{os.sep}{name[:2]}{os.sep}{name}"
-        try:
-            with open(pathstr, "rb") as handle:
-                blob = handle.read()
-        except FileNotFoundError:  # evicted/cleared by another process
-            self._index.discard(name)
-            with self._mutex:
-                self._misses += 1
-            return None
-        except OSError as error:
-            self._disable(f"read failed: {error}")
-            return None
-        verdict = faults.store_fault("store.get")
-        if verdict == "io_error":
-            self._disable("read failed: injected store io error")
-            return None
-        if verdict == "corrupt":
-            blob = _corrupt_on_disk(Path(pathstr), blob)
-        record = self._decode(key, blob)
-        if record is None:
-            self._quarantine(Path(pathstr))
-            with self._mutex:
-                self._corrupt += 1
-                self._misses += 1
-            return None
-        # LRU recency refresh: batched off the hot read path when a
-        # writer thread runs (it applies the utimes at the next kick/
-        # flush/close), inline for synchronous stores.
-        if self._queue is not None:
-            self._touched.append(pathstr)
-        else:
+            return records
+        names = [self._entry_name(key) for key in keys]
+        index = self._index
+        # Cross-process warm sharing: the first miss after open rescans
+        # the directory once — a store populated by another process
+        # after our open turns that miss into a hit. Later misses are
+        # definite and cost no syscalls (cold-run case).
+        if not self._rescanned and not all(name in index for name in names):
+            self._rescan_index()
+        hits = misses = corrupt = 0
+        for i, name in enumerate(names):
+            if name not in index:
+                misses += 1
+                continue
+            pathstr = f"{self.directory}{os.sep}{name[:2]}{os.sep}{name}"
             try:
-                os.utime(pathstr)
-            except OSError:
-                pass
+                with open(pathstr, "rb") as handle:
+                    blob = handle.read()
+            except FileNotFoundError:  # evicted/cleared by another process
+                index.discard(name)
+                misses += 1
+                continue
+            except OSError as error:
+                self._disable(f"read failed: {error}")
+                break
+            verdict = faults.store_fault("store.get")
+            if verdict == "io_error":
+                self._disable("read failed: injected store io error")
+                break
+            if verdict == "corrupt":
+                blob = _corrupt_on_disk(Path(pathstr), blob)
+            record = self._decode(keys[i], blob)
+            if record is None:
+                self._quarantine(Path(pathstr))
+                corrupt += 1
+                misses += 1
+                continue
+            # LRU recency refresh: batched off the hot read path when a
+            # writer thread runs (it applies the utimes at the next kick/
+            # flush/close), inline for synchronous stores.
+            if self._queue is not None:
+                self._touched.append(pathstr)
+            else:
+                try:
+                    os.utime(pathstr)
+                except OSError:
+                    pass
+            hits += 1
+            records[i] = record
         with self._mutex:
-            self._hits += 1
-        return record
+            self._hits += hits
+            self._misses += misses
+            self._corrupt += corrupt
+        return records
 
     def _rescan_index(self) -> None:
         """Refresh the name index from disk, at most once per open.
@@ -451,13 +461,20 @@ class ResultStore:
 
     def put(self, key: tuple, record: tuple) -> None:
         """Publish ``key -> record`` (asynchronously when a writer runs)."""
+        self.put_many([key], [record])
+
+    def put_many(self, keys: list[tuple], records) -> None:
+        """Publish each ``keys[i] -> records[i]``, as :meth:`put` would."""
         if not self.enabled:
             return
         writer_queue = self._queue
         if writer_queue is None:
-            self._publish(key, tuple(record))
+            for key, record in zip(keys, records):
+                self._publish(key, tuple(record))  # no-op once disabled
             return
-        self._buffer.append((key, tuple(record)))
+        self._buffer.extend(
+            (key, tuple(record)) for key, record in zip(keys, records)
+        )
         if len(self._buffer) >= self._CHUNK:
             self._hand_off_buffer(writer_queue)
 

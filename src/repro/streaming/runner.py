@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import queue
 import threading
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -253,7 +252,7 @@ class StreamRunner:
                 for step in range(lo, stop):
                     stall = stream_fault(site)
                     if stall:
-                        time.sleep(stall)
+                        self._cancel.wait(stall)
                     if self._cancel.is_set():
                         return
                     emitted = source.emit(step)

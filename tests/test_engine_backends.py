@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core.forest import build_forest
-from repro.core.prosparsity import execute_gemm, transform_matrix
+from repro.core.prosparsity import TILE_RECORD_FIELDS, execute_gemm, transform_matrix
 from repro.core.reference import dense_spiking_gemm
 from repro.core.spike_matrix import SpikeTile, random_spike_matrix
 from repro.engine import ProsperityEngine
@@ -26,8 +26,8 @@ from repro.engine.backends import (
 from repro.engine.fused import (
     FusedBackend,
     chain_depths,
-    max_chain_depth_batch,
     padded_codes,
+    records_from_codes_batch,
     select_prefixes_batch,
 )
 from repro.utils.bitops import popcount_rows
@@ -158,7 +158,10 @@ class TestVectorizedPrimitives:
             forest = build_forest(tile)
             depths = chain_depths(forest.prefix)
             assert int(depths.max(initial=0)) == forest.depth()
-            assert max_chain_depth_batch(forest.prefix[None])[0] == forest.depth()
+            pops = popcount_rows(tile.packed)
+            codes = padded_codes(tile.packed)[None]
+            record = records_from_codes_batch(codes, pops[None], tile.k)[0]
+            assert record[TILE_RECORD_FIELDS.index("forest_depth")] == forest.depth()
 
     def test_popcount_consistency(self, rng):
         bits = rng.random((32, 100)) < 0.4

@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from repro.core.forest import build_forest
-from repro.core.prosparsity import forest_record, transform_matrix
+from repro.core.prosparsity import TILE_RECORD_FIELDS, forest_record, transform_matrix
 from repro.core.spike_matrix import SpikeMatrix, SpikeTile, random_spike_matrix
 from repro.engine import FusedBackend, ProsperityEngine, get_backend
 from repro.engine.backends import ReferenceBackend, available_backends
 from repro.engine.fused import (
     build_tile_parts,
+    chain_depths,
     dedup_tiles,
-    max_chain_depth_batch,
     padded_codes,
     records_from_codes_batch,
     select_prefixes_batch,
@@ -37,6 +37,15 @@ def _fused_records(matrix, tile_m, tile_k):
 
 def _codes(tile):
     return padded_codes(tile.packed)
+
+
+_DEPTH = TILE_RECORD_FIELDS.index("forest_depth")
+
+
+def _batched_depth(tile) -> int:
+    """``forest_depth`` of ``tile`` from the batched record kernel."""
+    pops = popcount_rows(tile.packed)
+    return int(records_from_codes_batch(_codes(tile)[None], pops[None], tile.k)[0, _DEPTH])
 
 
 def _random_cases(rng):
@@ -153,25 +162,24 @@ class TestBatchedKernels:
         codes = np.zeros((0, 4, 1), dtype=np.uint8)
         pops = np.zeros((0, 4), dtype=np.int64)
         assert select_prefixes_batch(codes, pops).shape == (0, 4)
-        assert max_chain_depth_batch(np.zeros((0, 4), np.int64)).shape == (0,)
+        assert records_from_codes_batch(codes, pops, 8)[:, _DEPTH].shape == (0,)
 
     def test_depth_matches_per_tile(self, rng):
         for matrix in _random_cases(rng):
             tile = SpikeTile(matrix.bits)
-            forest = build_forest(tile)
-            batched = max_chain_depth_batch(forest.prefix[None])[0]
-            assert batched == forest.depth()
+            assert _batched_depth(tile) == build_forest(tile).depth()
 
     def test_depth_staircase(self):
-        """Max-depth chain: prefix[i] = i - 1 for every row."""
+        """Max-depth chain: row i sets bits 0..i, so prefix[i] = i - 1."""
         m = 16
-        prefix = np.arange(-1, m - 1, dtype=np.int64)
-        assert max_chain_depth_batch(prefix[None])[0] == m - 1
+        tile = SpikeTile(np.tri(m, m, dtype=bool))
+        forest = build_forest(tile)
+        assert np.array_equal(forest.prefix, np.arange(-1, m - 1))
+        assert _batched_depth(tile) == forest.depth() == m - 1
 
     def test_depth_cycle_detected(self):
-        prefix = np.array([[1, 0]], dtype=np.int64)
         with pytest.raises(RuntimeError, match="cycle"):
-            max_chain_depth_batch(prefix)
+            chain_depths(np.array([1, 0], dtype=np.int64))
 
     def test_records_batch_matches_reference(self, rng):
         tiles = [SpikeTile(rng.random((48, 24)) < d) for d in (0.1, 0.3, 0.6)]

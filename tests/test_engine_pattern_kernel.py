@@ -7,9 +7,15 @@ these tests pin it (and the records built on it) to
 inputs that stress that mapping: long duplicate chains, zero and
 single-row tiles, ragged row counts, every one-word code width and
 multi-word codes, and stacks cut into chunks in a different order.
+The CPU split of :meth:`~repro.engine.fused.FusedBackend._compute_records`
+must give the one-part records for any part count.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,13 +25,14 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.forest import build_forest
 from repro.core.prosparsity import forest_record
-from repro.core.spike_matrix import SpikeTile
-from repro.engine import fused
+from repro.core.spike_matrix import SpikeTile, random_spike_matrix
+from repro.engine import ProsperityEngine, fused
 from repro.engine.fused import (
     padded_codes,
     records_from_codes_batch,
     select_prefixes_batch,
 )
+from repro.snn.trace import GeMMWorkload
 from repro.utils.bitops import popcount_rows
 
 
@@ -168,6 +175,85 @@ class TestStackOrder:
         shuffled = records_from_codes_batch(codes[perm], pops[perm], 24)
         for row, i in zip(shuffled, perm):
             assert tuple(row) == forest_record(build_forest(SpikeTile(tiles[i])))
+
+
+def _pooled_stack(rng, T: int, m: int = 256, k: int = 16):
+    """``T`` tiles, each drawing its rows from its own pool of 8 patterns."""
+    pool = rng.random((T, 8, k)) < 0.3
+    choice = rng.integers(0, 8, size=(T, m))
+    bits = pool[np.arange(T)[:, None], choice]
+    bits[rng.random((T, m)) < 0.2] = False
+    return _stack(list(bits))
+
+
+class TestCpuSplit:
+    """``_compute_records`` cuts large stacks into one part per CPU."""
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_split_matches_one_part(self, rng, monkeypatch, parts, offset):
+        """Stacks just under, at and over the split minimum."""
+        T = fused._SPLIT_MIN_ROWS // 256 + offset
+        codes, pops = _pooled_stack(rng, T)
+        expected = records_from_codes_batch(codes, pops, 16)
+        calls = []
+
+        def counted(*args):
+            calls.append(threading.current_thread().name)
+            return records_from_codes_batch(*args)
+
+        monkeypatch.setattr(fused, "_CPUS", parts)
+        monkeypatch.setattr(fused, "records_from_codes_batch", counted)
+        records = fused.FusedBackend()._compute_records(codes, pops, 16, None)
+        assert np.array_equal(records, expected)
+        assert len(calls) == (parts if offset >= 0 else 1)
+
+    def test_more_parts_than_cores_under_fast_switching(self, rng, monkeypatch):
+        """Parts write disjoint strided slices of one records array; with
+        more threads than cores and a thread switch every microsecond, no
+        part's rows may be lost or land in another's."""
+        codes, pops = _pooled_stack(rng, 67, m=64)
+        expected = records_from_codes_batch(codes, pops, 16)
+        monkeypatch.setattr(fused, "_CPUS", 5)
+        monkeypatch.setattr(fused, "_SPLIT_MIN_ROWS", 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                records = fused.FusedBackend()._compute_records(codes, pops, 16, None)
+                assert np.array_equal(records, expected)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_helper_error_reaches_caller(self, rng, monkeypatch):
+        codes, pops = _pooled_stack(rng, 8, m=64)
+
+        def fails_off_main(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise ValueError("helper part failed")
+            return records_from_codes_batch(*args)
+
+        monkeypatch.setattr(fused, "_CPUS", 2)
+        monkeypatch.setattr(fused, "_SPLIT_MIN_ROWS", 1)
+        monkeypatch.setattr(fused, "records_from_codes_batch", fails_off_main)
+        with pytest.raises(ValueError, match="helper part failed"):
+            fused.FusedBackend()._compute_records(codes, pops, 16, None)
+        assert not [t for t in threading.enumerate() if t.name.startswith("repro-kernel")]
+
+    def test_split_stages_stay_inside_the_wall(self, rng, monkeypatch):
+        """Concurrent parts book the kernel's wall-clock once, not per thread."""
+        monkeypatch.setattr(fused, "_CPUS", 2)
+        monkeypatch.setattr(fused, "_SPLIT_MIN_ROWS", 1)
+        codes, pops = _pooled_stack(rng, 64)
+        profile: dict[str, float] = {}
+        start = time.perf_counter()
+        fused.FusedBackend()._compute_records(codes, pops, 16, profile)
+        wall = time.perf_counter() - start
+        assert 0.0 < profile["select"] + profile["record"] <= wall
+        engine = ProsperityEngine("fused", tile_m=64, tile_k=16, cache_size=0)
+        spikes = random_spike_matrix(1024, 48, 0.2, rng, 0.4)
+        report = engine.run([GeMMWorkload(name="w", spikes=spikes, n=8)])
+        assert 0.0 < sum(report.profile.values()) <= report.total_seconds
 
 
 @st.composite

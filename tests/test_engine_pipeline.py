@@ -130,6 +130,42 @@ class TestForestCache:
         assert cache.get_record(tile.m, tile.k, tile.packed) == (9, 9)
         assert (cache.hits, cache.misses) == (1, 1)
 
+    def test_keys_hash_each_row_like_key(self, rng):
+        rows = (rng.random((5, 24)) < 0.5).astype(np.uint8)
+        keys = ForestCache.keys(16, 12, rows)
+        assert keys == [ForestCache.key(16, 12, row) for row in rows]
+        assert ForestCache.keys(16, 12, rows[:0]) == []
+
+    def test_bucket_calls_match_per_key_calls(self, rng):
+        """A mixed hit/miss bucket through get_many/put_many gives the
+        records, counters and LRU eviction order of the per-key calls."""
+        rows = (rng.random((9, 16)) < 0.5).astype(np.uint8)
+        keys = ForestCache.keys(8, 8, rows)
+        outcomes = []
+        for mode in ("per_key", "bucket"):
+            cache = ForestCache(capacity=4)
+            for i in (0, 2, 4, 6):
+                cache.put_record_by_key(keys[i], (i,))
+            cache.get_record_by_key(keys[0])  # LRU order 2, 4, 6, 0
+            bucket = [keys[i] for i in (1, 2, 3, 0, 5, 7)]
+            if mode == "per_key":
+                found = [cache.get_record_by_key(key) for key in bucket]
+            else:
+                found = cache.get_many(bucket)
+            missing = [key for key, record in zip(bucket, found) if record is None]
+            computed = [(100 + i,) for i in range(len(missing))]
+            if mode == "per_key":
+                for key, record in zip(missing, computed):
+                    cache.put_record_by_key(key, record)
+            else:
+                cache.put_many(missing, computed)
+            outcomes.append((found, cache.hits, cache.misses, list(cache._entries)))
+        assert outcomes[0] == outcomes[1]
+        found, hits, misses, lru = outcomes[1]
+        assert found == [None, (2,), None, (0,), None, None]
+        assert (hits, misses) == (3, 4)
+        assert lru == [keys[1], keys[3], keys[5], keys[7]]
+
 
 class TestEngineTransform:
     @pytest.mark.parametrize("backend", ["reference", "fused"])

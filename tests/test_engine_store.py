@@ -333,6 +333,63 @@ class TestTieredForestCache:
             fresh = ForestCache(8, store=store)
             assert fresh.get_record_by_key(key) == record
 
+    @staticmethod
+    def _tiered(path):
+        """A store holding s0-s3 and a full 4-entry cache over it holding
+        m0-m3 (written through, so the store holds those too)."""
+        store = sync_store(path)
+        for i in range(4):
+            store.put(make_key(f"s{i}"), make_record(10 + i))
+        cache = ForestCache(4, store=store)
+        for i in range(4):
+            cache.put_record_by_key(make_key(f"m{i}"), make_record(20 + i))
+        return store, cache
+
+    def test_bucket_calls_match_per_key_calls(self, tmp_path):
+        """One get_many/put_many per bucket leaves records, counters, LRU
+        order and store traffic exactly as the per-key calls do, including
+        memory entries (m0, m3) evicted by earlier keys' backfills before
+        their own lookups."""
+        names = ["s0", "m1", "new0", "s1", "m0", "new1", "m3", "s2"]
+        bucket = [make_key(name) for name in names]
+        fresh = [key for key, name in zip(bucket, names) if name.startswith("new")]
+        computed = [make_record(30), make_record(31)]
+        outcomes = []
+        for mode in ("per_key", "bucket"):
+            store, cache = self._tiered(tmp_path / mode)
+            with store:
+                if mode == "per_key":
+                    found = [cache.get_record_by_key(key) for key in bucket]
+                    for key, record in zip(fresh, computed):
+                        cache.put_record_by_key(key, record)
+                else:
+                    found = cache.get_many(bucket)
+                    cache.put_many(fresh, computed)
+                reread = ForestCache(8, store=store).get_many(bucket)
+                outcomes.append((
+                    found,
+                    (cache.hits, cache.misses),
+                    list(cache._entries),
+                    store.counters(),
+                    store.stats().entries,
+                    reread,
+                ))
+        assert outcomes[0] == outcomes[1]
+        found, counts, lru = outcomes[1][:3]
+        assert found[names.index("new0")] is None
+        assert found[names.index("m3")] == make_record(23)  # via the store
+        assert counts == (1, 7)  # only m1 is still in memory at its lookup
+        assert lru == [make_key(name) for name in ("m3", "s2", "new0", "new1")]
+
+    def test_put_many_async_round_trip(self, tmp_path):
+        keys = [make_key(f"async{i}") for i in range(5)]
+        records = [make_record(40 + i) for i in range(5)]
+        with ResultStore(tmp_path) as store:
+            store.put_many(keys, records)
+            store.flush()
+            assert store.get_many(keys + [make_key("absent")]) == records + [None]
+            assert (store.counters()["store_hits"], store.counters()["store_misses"]) == (5, 1)
+
     def test_no_store_behaves_as_before(self):
         cache = ForestCache(8)
         key = make_key("plain")

@@ -62,6 +62,15 @@ def exhaust(generator):
             return chunks, stop.value
 
 
+def live_producers() -> list[threading.Thread]:
+    """Stream producer threads still running."""
+    return [
+        thread
+        for thread in threading.enumerate()
+        if thread.name == "stream-producer" and thread.is_alive()
+    ]
+
+
 def records_by_name(report) -> dict[str, np.ndarray]:
     return {run.name: run.records for run in report.runs}
 
@@ -306,6 +315,8 @@ class TestStallFault:
                 exhaust(generator)
         assert isinstance(excinfo.value, TimeoutError)
         assert "lenet5" in str(excinfo.value)
+        # Cancellation wakes the stalled producer; it does not sleep on.
+        assert not live_producers()
 
     def test_stall_within_timeout_recovers_bit_identical(self):
         config = stream_config(**{
@@ -425,3 +436,4 @@ class TestWirePath:
             with pytest.raises(ServeError) as excinfo:
                 exhaust(client.stream(records="none"))
             assert excinfo.value.error_type == "StreamStalledError"
+            assert not live_producers()
